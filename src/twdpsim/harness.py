@@ -155,10 +155,10 @@ def compare_series(a: CorrelationSeries, b: CorrelationSeries) -> Deviation:
 # at M=500 (max-abs ~3x the worst per-lag SE; RMS roughly half of that).  The
 # self-consistency bound is a familywise max over the 25-threshold ladder, so
 # it sits at 4 standard errors rather than the per-threshold 3.
-_CORR_TOL = Tolerance(max_abs=0.05, rms=0.025)
+CORRELATION_TOL = Tolerance(max_abs=0.05, rms=0.025)
 _PDF_TOL = Tolerance(max_abs=0.01, rms=0.01)
 _LCR_SELF_TOL = Tolerance(max_abs=4.0, rms=2.0)
-_CORRELATION_STATS = ("rxx", "rxy", "rzz_re", "rzz_im", "rsq")
+CORRELATION_STATS = ("rxx", "rxy", "rzz_re", "rzz_im", "rsq")
 _CORR_N_SAMPLES = 6001
 _PDF_N_SAMPLES = 40000
 _LCR_N_SAMPLES = 10000
@@ -173,7 +173,7 @@ def builtin_scenarios() -> list[ValidationScenario]:
     TWDP figure geometries.  Everything runs at the common defaults (8
     sinusoids, 500 trials, f_D*T_s = 0.01, f_D = 1 kHz).
     """
-    corr_tols = {stat: _CORR_TOL for stat in _CORRELATION_STATS}
+    corr_tols = {stat: CORRELATION_TOL for stat in CORRELATION_STATS}
     scenarios = []
     combos = [
         ("corr-rayleigh", 0.0, 0.0, ""),
@@ -191,7 +191,7 @@ def builtin_scenarios() -> list[ValidationScenario]:
             ValidationScenario(
                 name=name,
                 scenario=make_scenario(k=k, gamma=gamma, n_samples=_CORR_N_SAMPLES),
-                statistics=_CORRELATION_STATS,
+                statistics=CORRELATION_STATS,
                 tolerances=corr_tols,
                 oracle="simulator_formula",
                 notes=notes,
@@ -300,7 +300,7 @@ def _lcr_consistency_deviation(scenario, seed_a: int, seed_b: int) -> Deviation:
     zscores = []
     per_trial = []
     for seed in (seed_a, seed_b):
-        scn = validate_scenario(replace_seed(scenario, seed))
+        scn = validate_scenario(replace(scenario, seed=seed))
         ens = sos.generate_ensemble(scn)
         per_trial.append(estimators.per_trial_crossing_rates(ens, LCR_THRESHOLDS))
     for j in range(LCR_THRESHOLDS.size):
@@ -319,10 +319,6 @@ def _lcr_consistency_deviation(scenario, seed_a: int, seed_b: int) -> Deviation:
     return Deviation(float(z.max()), float(math.sqrt(np.mean(z ** 2))))
 
 
-def replace_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(cfg, seed=seed)
-
-
 def run_validation(
     scenarios: list[ValidationScenario], seed: int
 ) -> ValidationReport:
@@ -335,7 +331,7 @@ def run_validation(
     records = []
     for vs in scenarios:
         scenario_seed = derive_seed(seed, vs.name)
-        cfg = replace_seed(vs.scenario, scenario_seed)
+        cfg = replace(vs.scenario, seed=scenario_seed)
         scn = validate_scenario(cfg)
         corr_stats = [s for s in vs.statistics if s not in ("pdf", "lcr")]
         ensemble = None

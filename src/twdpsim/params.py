@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -320,8 +320,3 @@ def make_scenario(
         n_samples=n_samples,
         seed=seed,
     )
-
-
-def with_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    """Copy a scenario with some fields replaced."""
-    return replace(cfg, **kwargs)

@@ -9,6 +9,20 @@ lowpass process is
 
 with n(t) = sqrt(diffuse_power/N) * sum_i exp(j*(2*pi*f_D*t*cos(beta_i) + phase_i)).
 
+``specular_tone`` and ``diffuse_sample`` evaluate these terms directly and are
+the reference definition.  ``generate_trace`` computes the same sum by block
+factorization: z(t) is N+2 phasors a_k*exp(j*(phi_k + w_k*t)), and at sample
+t = (b*B + r)*T each one splits as
+
+    a_k*exp(j*(phi_k + w_k*b*B*T)) * exp(j*w_k*r*T),   0 <= r < B,
+
+so a trace is one complex matrix product, head (ceil(n/B), N+2) @ tail
+(N+2, B), raveled and cut to n samples.  That takes about
+(n/B + B)*(N+2) complex exponentials instead of n*(N+2).  B = ``BLOCK`` = 64
+trades the head's n/B rows against the tail's B columns and keeps both small
+for traces of 10^3 to 10^5 samples.  The product rounds differently from the
+direct sum, by about 1e-13 on unit-power traces.
+
 Randomness comes from one Philox substream per (seed, trial_index), so every
 trial is reproducible in isolation and ensembles are independent of execution
 order.
@@ -18,11 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .params import TWO_PI, ValidatedScenario
+
+# Samples per block of the factorized synthesis; see the module docstring.
+BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,19 +69,35 @@ class FadingTrace:
 
 @dataclass(frozen=True, eq=False)
 class TraceEnsemble:
-    """M trials of one scenario, trial indices 0..M-1 in order."""
+    """M trials of one scenario, trial indices 0..M-1 in order.
 
-    traces: tuple[FadingTrace, ...]
+    ``sample_matrix`` holds the samples as one (n_trials, n_samples) complex
+    array; row i is trial i.
+    """
+
+    sample_matrix: np.ndarray
     scenario: ValidatedScenario
 
-    @cached_property
-    def sample_matrix(self) -> np.ndarray:
-        """Samples stacked as an (n_trials, n_samples) complex array."""
-        return np.vstack([tr.samples for tr in self.traces])
+    @property
+    def traces(self) -> tuple[FadingTrace, ...]:
+        """One FadingTrace per trial; each one's samples are a row view."""
+        scn = self.scenario
+        digest = scn.digest()
+        return tuple(
+            FadingTrace(
+                samples=row,
+                sample_period_s=scn.sample_period_s,
+                scenario_digest=digest,
+                trial_index=i,
+                seed=scn.seed,
+                scenario=scn,
+            )
+            for i, row in enumerate(self.sample_matrix)
+        )
 
     @property
     def n_trials(self) -> int:
-        return len(self.traces)
+        return self.sample_matrix.shape[0]
 
 
 def _wrap(angles: np.ndarray) -> np.ndarray:
@@ -120,16 +152,34 @@ def diffuse_sample(
 
 
 def generate_trace(scenario: ValidatedScenario, trial_index: int) -> FadingTrace:
-    """Generate one trial's normalized fading trace deterministically."""
-    t = np.arange(scenario.n_samples) * scenario.sample_period_s
+    """Generate one trial's normalized fading trace deterministically.
+
+    Evaluates the module's z(t) by block factorization; see the module
+    docstring.
+    """
     phi1, phi2, real = draw_trial_randoms(
         scenario.seed, trial_index, scenario.n_sinusoids
     )
-    z = (
-        specular_tone(scenario.params.v1, phi1, scenario.spec1.phase_rate, t)
-        + specular_tone(scenario.params.v2, phi2, scenario.spec2.phase_rate, t)
-        + diffuse_sample(real, scenario.params.diffuse_power, scenario.doppler_hz, t)
-    ) / math.sqrt(scenario.params.omega)
+    p = scenario.params
+    n_sin = scenario.n_sinusoids
+    amps = np.empty(n_sin + 2)
+    amps[:2] = p.v1, p.v2
+    amps[2:] = math.sqrt(p.diffuse_power / n_sin)
+    amps /= math.sqrt(p.omega)
+    phases = np.concatenate(([phi1, phi2], real.init_phases))
+    rates = np.concatenate(
+        (
+            [scenario.spec1.phase_rate, scenario.spec2.phase_rate],
+            TWO_PI * scenario.doppler_hz * np.cos(real.aoas),
+        )
+    )
+    n = scenario.n_samples
+    n_blocks = -(-n // BLOCK)
+    t_head = np.arange(n_blocks) * (BLOCK * scenario.sample_period_s)
+    t_tail = np.arange(BLOCK) * scenario.sample_period_s
+    head = amps * np.exp(1j * (phases + np.multiply.outer(t_head, rates)))
+    tail = np.exp(1j * np.multiply.outer(rates, t_tail))
+    z = (head @ tail).ravel()[:n]
     return FadingTrace(
         samples=z,
         sample_period_s=scenario.sample_period_s,
@@ -141,11 +191,11 @@ def generate_trace(scenario: ValidatedScenario, trial_index: int) -> FadingTrace
 
 
 def generate_ensemble(scenario: ValidatedScenario) -> TraceEnsemble:
-    """Generate all n_trials traces, assembled in trial-index order."""
-    traces = tuple(
-        generate_trace(scenario, idx) for idx in range(scenario.n_trials)
-    )
-    return TraceEnsemble(traces=traces, scenario=scenario)
+    """Generate all n_trials traces into one (n_trials, n_samples) array."""
+    z = np.empty((scenario.n_trials, scenario.n_samples), dtype=complex)
+    for idx in range(scenario.n_trials):
+        z[idx] = generate_trace(scenario, idx).samples
+    return TraceEnsemble(sample_matrix=z, scenario=scenario)
 
 
 def envelope_bound(scenario: ValidatedScenario) -> float:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from twdpsim.params import ValidatedScenario, make_scenario, validate_scenario
-from twdpsim.sos import FadingTrace, TraceEnsemble
+from twdpsim.sos import TraceEnsemble
 
 # The four fading severities exercised by the correlation comparisons.
 CORRELATION_COMBOS = ((0.0, 0.0), (10.0, 0.0), (10.0, 0.5), (10.0, 1.0))
@@ -88,20 +88,7 @@ def mc_panel_kernels(x: float, n: int, draws: int, seed: int):
 
 def synthetic_ensemble(matrix: np.ndarray, scenario: ValidatedScenario) -> TraceEnsemble:
     """Wrap a hand-built (n_trials, n_samples) sample matrix as an ensemble."""
-    matrix = np.asarray(matrix, dtype=complex)
-    digest = scenario.digest()
-    traces = tuple(
-        FadingTrace(
-            samples=matrix[i],
-            sample_period_s=scenario.sample_period_s,
-            scenario_digest=digest,
-            trial_index=i,
-            seed=scenario.seed,
-            scenario=scenario,
-        )
-        for i in range(matrix.shape[0])
-    )
-    return TraceEnsemble(traces=traces, scenario=scenario)
+    return TraceEnsemble(sample_matrix=np.asarray(matrix, dtype=complex), scenario=scenario)
 
 
 def envelope_mc_draws(v1, v2, diffuse_power, omega, n_sinusoids, n_draws, seed, chunk=200_000):

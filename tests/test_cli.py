@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from twdpsim import cli, harness
 from twdpsim.cli import ConfigError, cli_dispatch, parse_config
+from twdpsim.estimators import LagError
 from twdpsim.fileio import read_series_csv, read_trace
-from twdpsim.params import DEFAULT_AOA1, DEFAULT_AOA2
+from twdpsim.params import DEFAULT_AOA1, DEFAULT_AOA2, validate_scenario
+from twdpsim.sos import envelope_bound
 
 
 class TestParseConfig:
@@ -159,8 +162,36 @@ class TestCliDispatch:
         capsys.readouterr()
         cols, rows = read_series_csv(out)
         assert cols == ["bin_left", "bin_right", "density", "oracle_density"]
+        assert (rows[0, 0], rows[-1, 1]) == harness.PDF_RANGE
         widths = rows[:, 1] - rows[:, 0]
         assert np.sum(rows[:, 2] * widths) == pytest.approx(1.0, abs=1e-12)
+
+    def test_pdf_range_extends_to_envelope_bound(self, tmp_path, capsys):
+        # 64 sinusoids over 40000 samples reach envelopes past 3.
+        text = "n_sinusoids = 64\nn_trials = 5\nn_samples = 40000\nfd_ts = 0.5\n"
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "pdf.csv"
+        assert cli_dispatch(["pdf", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        _, rows = read_series_csv(out)
+        bound = envelope_bound(validate_scenario(parse_config(text)))
+        assert bound > harness.PDF_RANGE[1]
+        assert rows[0, 0] == 0.0 and rows[-1, 1] == bound
+        widths = rows[:, 1] - rows[:, 0]
+        assert np.sum(rows[:, 2] * widths) == pytest.approx(1.0, abs=1e-12)
+
+    def test_library_value_error_exits_2(self, rayleigh_cfg, capsys):
+        assert cli_dispatch(["pdf", "--bins", "1", "--config", str(rayleigh_cfg)]) == 2
+        assert "error: bins must be >= 2" in capsys.readouterr().err
+
+    def test_lag_error_exits_2(self, small_cfg, monkeypatch, capsys):
+        def reject(*args, **kwargs):
+            raise LagError("anchor set is empty")
+
+        monkeypatch.setattr(cli.estimators, "ensemble_correlation", reject)
+        assert cli_dispatch(["acf", "--kind", "rxx", "--config", str(small_cfg)]) == 2
+        assert "error: anchor set is empty" in capsys.readouterr().err
 
     def test_lcr_rayleigh_has_oracle_column(self, tmp_path, capsys):
         cfg = tmp_path / "lcr.cfg"
@@ -207,7 +238,19 @@ class TestValidateCommand:
         assert out1.read_bytes() == out2.read_bytes()
         doc = json.loads(out1.read_text())
         assert doc["overall_passed"] is True
-        assert len(doc["records"]) == 5
+        records = doc["records"]
+        assert tuple(r["statistic"] for r in records) == harness.CORRELATION_STATS
+        for r in records:
+            assert r["oracle"] == "simulator_formula"
+            assert (r["tol_max_abs"], r["tol_rms"]) == (
+                harness.CORRELATION_TOL.max_abs,
+                harness.CORRELATION_TOL.rms,
+            )
+
+    def test_format_flag_rejected(self, small_cfg, capsys):
+        code = cli_dispatch(["validate", "--config", str(small_cfg), "--format", "csv"])
+        assert code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_noisy_scenario_fails_with_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "noisy.cfg"

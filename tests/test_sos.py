@@ -5,6 +5,7 @@ import pytest
 
 from twdpsim.params import ChannelParams, make_scenario, validate_scenario
 from twdpsim.sos import (
+    BLOCK,
     DiffuseRealization,
     diffuse_sample,
     draw_trial_randoms,
@@ -19,6 +20,32 @@ def small_scenario(**kw):
     defaults = dict(k=10.0, gamma=0.5, n_trials=20, n_samples=401, seed=42)
     defaults.update(kw)
     return validate_scenario(make_scenario(**defaults))
+
+
+def direct_trace(scn, trial_index):
+    """The generator's definition evaluated term by term, sample by sample."""
+    t = np.arange(scn.n_samples) * scn.sample_period_s
+    phi1, phi2, real = draw_trial_randoms(scn.seed, trial_index, scn.n_sinusoids)
+    p = scn.params
+    return (
+        specular_tone(p.v1, phi1, scn.spec1.phase_rate, t)
+        + specular_tone(p.v2, phi2, scn.spec2.phase_rate, t)
+        + diffuse_sample(real, p.diffuse_power, scn.doppler_hz, t)
+    ) / math.sqrt(p.omega)
+
+
+# Trial 3 of the k=10, gamma=0.5 scenario at seed 20240811, 6001 samples:
+# (sample index, real, imag).  Indices straddle the first block boundary.
+GOLDEN_SAMPLES = (
+    (0, -0.41135298864273306, -0.9154280750794996),
+    (1, -0.444090530890679, -0.9297113215748415),
+    (63, 0.037911803824021484, 0.4137844602658468),
+    (64, 0.08121578183613155, 0.42514623946183183),
+    (65, 0.12468605602206471, 0.43469500632499614),
+    (1000, -0.40546148017158207, -0.7111723807716688),
+    (4097, 0.6673598691417169, -1.2471529957695169),
+    (6000, -0.449286666228351, 0.9882892588085427),
+)
 
 
 class TestDrawTrialRandoms:
@@ -129,6 +156,30 @@ class TestGenerateTrace:
         assert np.array_equal(a.samples, b.samples)
         assert a.scenario_digest == b.scenario_digest == scn.digest()
 
+    @pytest.mark.parametrize("n_samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 6001, 40000])
+    def test_block_synthesis_matches_definition(self, n_samples):
+        scn = small_scenario(k=10.0, gamma=1.0, n_samples=n_samples)
+        for trial in (0, 5):
+            got = generate_trace(scn, trial).samples
+            assert got.shape == (n_samples,)
+            assert np.abs(got - direct_trace(scn, trial)).max() <= 1e-12
+
+    def test_block_synthesis_matches_definition_at_fd_ts_bound(self):
+        # Both evaluations round phases of up to 2*pi*f_D*t radians, so the
+        # agreement scales with that phase rather than sitting at 1e-12.
+        scn = small_scenario(k=0.0, gamma=0.0, n_sinusoids=64, fd_ts=0.5, n_samples=3001)
+        max_phase = 2 * math.pi * scn.fd_ts * (scn.n_samples - 1)
+        got = generate_trace(scn, 2).samples
+        assert np.abs(got - direct_trace(scn, 2)).max() <= 10 * np.finfo(float).eps * max_phase
+
+    def test_golden_samples(self):
+        scn = validate_scenario(
+            make_scenario(k=10.0, gamma=0.5, n_trials=8, n_samples=6001, seed=20240811)
+        )
+        z = generate_trace(scn, 3).samples
+        for idx, re, im in GOLDEN_SAMPLES:
+            assert abs(z[idx] - complex(re, im)) <= 1e-12, idx
+
     def test_trace_metadata(self):
         scn = small_scenario()
         tr = generate_trace(scn, 9)
@@ -144,6 +195,20 @@ class TestGenerateEnsemble:
         ens = generate_ensemble(scn)
         assert ens.n_trials == 1
         assert np.array_equal(ens.traces[0].samples, generate_trace(scn, 0).samples)
+
+    def test_rows_bit_identical_to_single_traces(self):
+        scn = small_scenario(n_trials=7, n_samples=1000)
+        ens = generate_ensemble(scn)
+        assert ens.sample_matrix.shape == (7, 1000)
+        for i in range(7):
+            assert np.array_equal(ens.sample_matrix[i], generate_trace(scn, i).samples)
+
+    def test_traces_are_row_views(self):
+        ens = generate_ensemble(small_scenario(n_trials=3))
+        for i, tr in enumerate(ens.traces):
+            assert np.shares_memory(tr.samples, ens.sample_matrix)
+            assert np.array_equal(tr.samples, ens.sample_matrix[i])
+            assert tr.sample_period_s == ens.scenario.sample_period_s
 
     def test_bit_identical_reruns(self):
         scn = small_scenario()
