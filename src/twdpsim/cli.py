@@ -163,26 +163,10 @@ def _write_table(args, columns, rows) -> None:
         fileio.write_series_csv(sink, columns, rows)
 
 
-def _default_grid(scn, cap_to_trace: bool) -> theory.LagGrid:
-    n_lags = int(round(harness.CORRELATION_FD_TAU_MAX / scn.fd_ts)) + 1
-    if cap_to_trace:
-        n_lags = min(n_lags, scn.n_samples - 1)
-    return theory.LagGrid.from_sample_lags(
-        n_lags, scn.sample_period_s, scn.doppler_hz
-    )
-
-
-def _theory_series(scn, kind: str, model: str, grid):
-    p, rates, fd = scn.params, scn.rates, scn.doppler_hz
-    if kind == "rxx":
-        return [theory.ref_acf_quadrature(p, rates, fd, grid)]
-    if kind == "rxy":
-        return [theory.ref_ccf_quadrature(p, rates, grid)]
-    if kind == "rzz":
-        return list(theory.ref_acf_complex(p, rates, fd, grid))
-    if model == "simulator":
-        return [theory.sim_acf_squared(p, rates, fd, scn.n_sinusoids, grid)]
-    return [theory.ref_acf_squared(p, rates, fd, grid)]
+def _oracle_values(kind: str, scn, grid, oracle: str) -> list[np.ndarray]:
+    """Closed-form columns for a CLI kind; rzz gives its real and imaginary parts."""
+    parts = ("rzz_re", "rzz_im") if kind == "rzz" else (kind,)
+    return [harness.oracle_series(part, scn, grid, oracle).values for part in parts]
 
 
 def _cmd_gen(args) -> int:
@@ -200,40 +184,31 @@ def _cmd_gen(args) -> int:
 def _cmd_theory(args) -> int:
     scn = validate_scenario(_load_scenario(args))
     _log_scenario(scn)
-    grid = _default_grid(scn, cap_to_trace=False)
-    series = _theory_series(scn, args.kind, args.model, grid)
+    grid = harness.default_correlation_grid(scn, cap_to_trace=False)
+    values = _oracle_values(args.kind, scn, grid, f"{args.model}_formula")
     if args.kind == "rzz":
         columns = ["lag_s", "fd_tau", "value_re", "value_im"]
-        rows = np.column_stack(
-            [grid.lags_s, grid.fd_tau, series[0].values, series[1].values]
-        )
     else:
         columns = ["lag_s", "fd_tau", "value"]
-        rows = np.column_stack([grid.lags_s, grid.fd_tau, series[0].values])
-    _write_table(args, columns, rows)
+    _write_table(args, columns, np.column_stack([grid.lags_s, grid.fd_tau, *values]))
     return 0
 
 
 def _cmd_acf(args) -> int:
     scn = validate_scenario(_load_scenario(args))
     _log_scenario(scn)
-    grid = _default_grid(scn, cap_to_trace=True)
+    grid = harness.default_correlation_grid(scn)
     ens = sos.generate_ensemble(scn)
-    oracle = _theory_series(scn, args.kind, "simulator", grid)
+    oracle = _oracle_values(args.kind, scn, grid, "simulator_formula")
     if args.kind == "rzz":
-        per_trial = estimators.per_trial_correlation(ens, "rzz", grid)
-        mean = per_trial.mean(axis=0)
+        mean = estimators.per_trial_correlation(ens, "rzz", grid).mean(axis=0)
         columns = ["lag_s", "fd_tau", "value_re", "value_im", "oracle_re", "oracle_im"]
-        rows = np.column_stack(
-            [grid.lags_s, grid.fd_tau, mean.real, mean.imag,
-             oracle[0].values, oracle[1].values]
-        )
+        values = [mean.real, mean.imag]
     else:
         empirical = estimators.ensemble_correlation(ens, args.kind, grid)
         columns = ["lag_s", "fd_tau", "value", "oracle_value"]
-        rows = np.column_stack(
-            [grid.lags_s, grid.fd_tau, empirical.values, oracle[0].values]
-        )
+        values = [empirical.values]
+    rows = np.column_stack([grid.lags_s, grid.fd_tau, *values, *oracle])
     _write_table(args, columns, rows)
     return 0
 
@@ -242,12 +217,7 @@ def _cmd_pdf(args) -> int:
     scn = validate_scenario(_load_scenario(args))
     _log_scenario(scn)
     ens = sos.generate_ensemble(scn)
-    # Long or many-sinusoid ensembles can pass the default upper edge; no
-    # sample exceeds the envelope bound.
-    upper = max(harness.PDF_RANGE[1], sos.envelope_bound(scn))
-    hist = estimators.envelope_pdf(
-        ens, bins=args.bins, value_range=(harness.PDF_RANGE[0], upper)
-    )
+    hist = estimators.envelope_pdf(ens, bins=args.bins, value_range=harness.pdf_range(scn))
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     oracle = theory.envelope_pdf_reference(scn.params, centers)
     columns = ["bin_left", "bin_right", "density", "oracle_density"]

@@ -22,10 +22,29 @@ from scipy import fft as sp_fft
 from .sos import TraceEnsemble
 from .theory import CorrelationSeries, LagGrid
 
-ESTIMATOR_KINDS = ("rxx", "ryy", "rxy", "ryx", "rzz", "rzz_re", "rzz_im", "rsq")
-
 DEFAULT_ANCHOR_STRIDE = 10
 _FFT_TRIAL_CHUNK = 256
+
+# Per kind: the sequences (a, b) of z = x + jy whose products
+# conj(a[t]) b[t+l] it sums, and the part of the sum it reports (None: all).
+# rzz, z(t) conj(z(t+l)), is the conjugate of the (z, z) sum.
+_SEQUENCES = {
+    "x": lambda z: z.real,
+    "y": lambda z: z.imag,
+    "z": lambda z: z,
+    "|z|^2": lambda z: z.real * z.real + z.imag * z.imag,
+}
+_LAG_PRODUCTS = {
+    "rxx": ("x", "x", None),
+    "ryy": ("y", "y", None),
+    "rxy": ("x", "y", None),
+    "ryx": ("y", "x", None),
+    "rzz": ("z", "z", np.conj),
+    "rzz_re": ("z", "z", np.real),
+    "rzz_im": ("z", "z", lambda c: -c.imag),
+    "rsq": ("|z|^2", "|z|^2", None),
+}
+ESTIMATOR_KINDS = tuple(_LAG_PRODUCTS)
 
 
 class LagError(ValueError):
@@ -81,19 +100,29 @@ def default_anchors(
 
 
 def _masked_crosscorr(
-    left: np.ndarray, right: np.ndarray, mask: np.ndarray, n_lags: int
+    left: np.ndarray, right: np.ndarray, mask: np.ndarray, lags: np.ndarray
 ) -> np.ndarray:
-    """Per-trial sums over t of left[t]*mask[t]*right[t+l] for l = 0..n_lags-1."""
+    """Per-trial sums over t of conj(left[t])*mask[t]*right[t+l] for l in lags.
+
+    Real input goes through rfft/irfft, complex input through fft/ifft with
+    half as many trials per chunk, so the FFT workspace keeps its size.
+    """
     n = left.shape[1]
-    nfft = sp_fft.next_fast_len(n + n_lags)
-    out = np.empty((left.shape[0], n_lags))
-    for start in range(0, left.shape[0], _FFT_TRIAL_CHUNK):
-        stop = start + _FFT_TRIAL_CHUNK
-        lf = sp_fft.rfft(left[start:stop] * mask, nfft, axis=1)
-        rf = sp_fft.rfft(right[start:stop], nfft, axis=1)
+    nfft = sp_fft.next_fast_len(n + int(lags[-1]) + 1)
+    if np.iscomplexobj(left):
+        forward, inverse, chunk = sp_fft.fft, sp_fft.ifft, _FFT_TRIAL_CHUNK // 2
+    else:
+        forward, inverse, chunk = sp_fft.rfft, sp_fft.irfft, _FFT_TRIAL_CHUNK
+    # Fortran order keeps each lag's trials contiguous, so a mean over trials
+    # sums them pairwise; the digits of every reported mean depend on it.
+    out = np.empty((left.shape[0], lags.size), dtype=left.dtype, order="F")
+    for start in range(0, left.shape[0], chunk):
+        stop = start + chunk
+        lf = forward(left[start:stop] * mask, nfft, axis=1)
+        rf = forward(right[start:stop], nfft, axis=1)
         np.conjugate(lf, out=lf)
         lf *= rf
-        out[start:stop] = sp_fft.irfft(lf, nfft, axis=1)[:, :n_lags]
+        out[start:stop] = inverse(lf, nfft, axis=1)[:, lags]
     return out
 
 
@@ -121,34 +150,15 @@ def per_trial_correlation(
     if anchors[-1] + lags[-1] >= scn.n_samples:
         raise LagError("anchor set overlaps the final max-lag window")
 
+    left, right, part = _LAG_PRODUCTS[kind]
     z = ens.sample_matrix
+    seq = {name: _SEQUENCES[name](z) for name in {left, right}}
     mask = np.zeros(scn.n_samples)
     mask[anchors] = 1.0
-    n_lags = int(lags[-1]) + 1
-
-    def corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _masked_crosscorr(a, b, mask, n_lags)[:, lags] / anchors.size
-
-    x, y = z.real, z.imag
-    if kind == "rxx":
-        return corr(x, x)
-    if kind == "ryy":
-        return corr(y, y)
-    if kind == "rxy":
-        return corr(x, y)
-    if kind == "ryx":
-        return corr(y, x)
-    if kind == "rsq":
-        s = x * x + y * y
-        return corr(s, s)
-    # complex-envelope products: re = xx + yy, im = yx - xy
-    re = corr(x, x) + corr(y, y)
-    im = corr(y, x) - corr(x, y)
-    if kind == "rzz_re":
-        return re
-    if kind == "rzz_im":
-        return im
-    return re + 1j * im
+    products = _masked_crosscorr(seq[left], seq[right], mask, lags)
+    if part is not None:
+        products = part(products)
+    return products / anchors.size
 
 
 def ensemble_correlation(

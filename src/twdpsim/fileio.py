@@ -26,7 +26,13 @@ from os import PathLike
 
 import numpy as np
 
-from .params import ChannelParams, ScenarioConfig, validate_scenario
+from .params import (
+    ChannelParams,
+    InvalidScenarioError,
+    ParameterError,
+    ScenarioConfig,
+    validate_scenario,
+)
 from .sos import FadingTrace
 
 TRACE_MAGIC = b"TWDPTRC1"
@@ -51,18 +57,10 @@ class TruncatedPayloadError(TraceFormatError):
 
 
 @contextmanager
-def _open_binary(target, mode: str):
+def _open(target, mode: str):
+    """Open a path in ``mode``, or pass an already open file through."""
     if isinstance(target, (str, PathLike)):
         with open(target, mode) as handle:
-            yield handle
-    else:
-        yield target
-
-
-@contextmanager
-def _open_text(target):
-    if isinstance(target, (str, PathLike)):
-        with open(target, "w") as handle:
             yield handle
     else:
         yield target
@@ -88,7 +86,7 @@ def write_trace(trace: FadingTrace, sink) -> None:
         trace.samples.size,
     )
     payload = np.ascontiguousarray(trace.samples, dtype="<c16").tobytes()
-    with _open_binary(sink, "wb") as handle:
+    with _open(sink, "wb") as handle:
         handle.write(header)
         handle.write(payload)
 
@@ -97,10 +95,11 @@ def read_trace(source) -> FadingTrace:
     """Read a trace written by :func:`write_trace`.
 
     Raises BadMagicError, VersionMismatchError, or TruncatedPayloadError for
-    the corresponding corruptions.  The returned trace's scenario records one
-    trial (the ensemble size is not a per-trace property).
+    the corresponding corruptions, and TraceFormatError for trailing bytes or
+    header values no valid scenario has.  The returned trace's scenario
+    records one trial (the ensemble size is not a per-trace property).
     """
-    with _open_binary(source, "rb") as handle:
+    with _open(source, "rb") as handle:
         raw = handle.read()
     if len(raw) < _HEADER.size:
         raise TruncatedPayloadError(
@@ -132,22 +131,29 @@ def read_trace(source) -> FadingTrace:
             f"payload declares {n_samples} samples ({expected} bytes) "
             f"but file holds {len(raw)}"
         )
+    if len(raw) > expected:
+        raise TraceFormatError(
+            f"{len(raw) - expected} trailing bytes after the declared payload"
+        )
     samples = np.frombuffer(
         raw, dtype="<c16", count=n_samples, offset=_HEADER.size
     ).astype(np.complex128)
-    scenario = validate_scenario(
-        ScenarioConfig(
-            params=ChannelParams(v1, v2, diffuse_power, omega),
-            aoa1=aoa1,
-            aoa2=aoa2,
-            doppler_hz=doppler_hz,
-            sample_period_s=sample_period_s,
-            n_sinusoids=n_sinusoids,
-            n_trials=1,
-            n_samples=n_samples,
-            seed=seed,
+    try:
+        scenario = validate_scenario(
+            ScenarioConfig(
+                params=ChannelParams(v1, v2, diffuse_power, omega),
+                aoa1=aoa1,
+                aoa2=aoa2,
+                doppler_hz=doppler_hz,
+                sample_period_s=sample_period_s,
+                n_sinusoids=n_sinusoids,
+                n_trials=1,
+                n_samples=n_samples,
+                seed=seed,
+            )
         )
-    )
+    except (ParameterError, InvalidScenarioError) as exc:
+        raise TraceFormatError(f"invalid trace header: {exc}") from exc
     return FadingTrace(
         samples=samples,
         sample_period_s=sample_period_s,
@@ -171,7 +177,7 @@ def write_series_csv(sink, columns: list[str], rows: np.ndarray) -> None:
         )
     if not np.all(np.isfinite(rows)):
         raise ValueError("series values must be finite")
-    with _open_text(sink) as handle:
+    with _open(sink, "w") as handle:
         handle.write(",".join(columns) + "\n")
         for row in rows:
             handle.write(",".join(format_float(v) for v in row) + "\n")
@@ -179,11 +185,8 @@ def write_series_csv(sink, columns: list[str], rows: np.ndarray) -> None:
 
 def read_series_csv(source) -> tuple[list[str], np.ndarray]:
     """Parse a table written by :func:`write_series_csv`."""
-    if isinstance(source, (str, PathLike)):
-        with open(source, "r") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+    with _open(source, "r") as handle:
+        lines = handle.read().splitlines()
     if not lines:
         raise ValueError("empty series file")
     columns = lines[0].split(",")
@@ -207,5 +210,5 @@ def write_series_json(sink, columns: list[str], rows: np.ndarray) -> None:
         raise ValueError("series values must be finite")
     doc = {"columns": list(columns), "rows": rows.tolist()}
     payload = json.dumps(doc, indent=2, sort_keys=True)
-    with _open_text(sink) as handle:
+    with _open(sink, "w") as handle:
         handle.write(payload + "\n")

@@ -245,26 +245,31 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def default_correlation_grid(scenario) -> LagGrid:
-    n_lags = int(round(CORRELATION_FD_TAU_MAX / (scenario.doppler_hz * scenario.sample_period_s))) + 1
-    n_lags = min(n_lags, scenario.n_samples - 1)
+def default_correlation_grid(scenario, cap_to_trace: bool = True) -> LagGrid:
+    """Sample-spaced lags over f_D*tau in [0, 10], kept inside the trace
+    unless ``cap_to_trace`` is false (closed forms need no trace)."""
+    n_lags = int(round(CORRELATION_FD_TAU_MAX / scenario.fd_ts)) + 1
+    if cap_to_trace:
+        n_lags = min(n_lags, scenario.n_samples - 1)
     return LagGrid.from_sample_lags(
         n_lags, scenario.sample_period_s, scenario.doppler_hz
     )
 
 
-def _oracle_series(kind: str, scenario, grid: LagGrid, oracle: str) -> CorrelationSeries:
+def oracle_series(kind: str, scenario, grid: LagGrid, oracle: str) -> CorrelationSeries:
+    """Closed-form series of one correlation statistic; only rsq differs
+    between the reference and the simulator formula."""
     p = scenario.params
     rates = scenario.rates
     fd = scenario.doppler_hz
     if kind in ("rxx", "ryy"):
         series = theory.ref_acf_quadrature(p, rates, fd, grid)
-        return theory.relabel(series, kind)
+        return replace(series, kind=kind)
     if kind == "rxy":
         return theory.ref_ccf_quadrature(p, rates, grid)
     if kind == "ryx":
         series = theory.ref_ccf_quadrature(p, rates, grid)
-        return theory.relabel(replace(series, values=-series.values), "ryx")
+        return replace(series, kind="ryx", values=-series.values)
     if kind in ("rzz_re", "rzz_im"):
         re, im = theory.ref_acf_complex(p, rates, fd, grid)
         return re if kind == "rzz_re" else im
@@ -275,9 +280,15 @@ def _oracle_series(kind: str, scenario, grid: LagGrid, oracle: str) -> Correlati
     raise ValueError(f"no oracle series for kind {kind!r}")
 
 
+def pdf_range(scenario) -> tuple[float, float]:
+    """PDF_RANGE with its upper edge raised to the envelope bound: long or
+    many-sinusoid ensembles can pass 3, never the bound."""
+    return PDF_RANGE[0], max(PDF_RANGE[1], sos.envelope_bound(scenario))
+
+
 def _pdf_deviation(ensemble, oracle: str) -> Deviation:
-    hist = estimators.envelope_pdf(ensemble, bins=PDF_BINS, value_range=PDF_RANGE)
     scn = ensemble.scenario
+    hist = estimators.envelope_pdf(ensemble, bins=PDF_BINS, value_range=pdf_range(scn))
     edges = hist.bin_edges[1:]
     if oracle == "simulator_formula":
         oracle_cdf = theory.envelope_cdf_simulator(scn.params, scn.n_sinusoids, edges)
@@ -352,7 +363,7 @@ def run_validation(
                     dev = _lcr_oracle_deviation(ensemble)
             else:
                 empirical = estimators.ensemble_correlation(ensemble, stat, grid)
-                oracle = _oracle_series(stat, scn, grid, vs.oracle)
+                oracle = oracle_series(stat, scn, grid, vs.oracle)
                 dev = compare_series(empirical, oracle)
             tol = vs.tolerances[stat]
             records.append(

@@ -100,7 +100,7 @@ class ChannelParams:
             )
         if self.v1 == 0 and self.diffuse_power == 0:
             raise ParameterError("at least one of v1, diffuse_power must be > 0")
-        total = self.v1 ** 2 + self.v2 ** 2 + self.diffuse_power
+        total = self.v1 * self.v1 + self.v2 * self.v2 + self.diffuse_power
         if abs(total - self.omega) > _OMEGA_RTOL * self.omega:
             raise ParameterError(
                 f"omega={self.omega} does not match component power sum {total}"
@@ -109,7 +109,11 @@ class ChannelParams:
     @classmethod
     def from_components(cls, v1: float, v2: float, diffuse_power: float) -> "ChannelParams":
         """Build params with omega computed from the component powers."""
-        return cls(v1, v2, diffuse_power, v1 ** 2 + v2 ** 2 + diffuse_power)
+        try:
+            omega = v1 ** 2 + v2 ** 2 + diffuse_power
+        except OverflowError:  # rejected below as a non-finite omega
+            omega = math.inf
+        return cls(v1, v2, diffuse_power, omega)
 
     @property
     def specular_power(self) -> float:
@@ -244,10 +248,11 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
             "doppler_sampling: f_D*T_s = "
             f"{cfg.doppler_hz * cfg.sample_period_s:g} exceeds the 0.5 bound"
         )
-    if cfg.n_sinusoids < 1:
-        errors.append(f"n_sinusoids: must be >= 1, got {cfg.n_sinusoids}")
-    if cfg.n_trials < 1:
-        errors.append(f"n_trials: must be >= 1, got {cfg.n_trials}")
+    # Trace headers store the sinusoid count and the trial index as u32.
+    for name in ("n_sinusoids", "n_trials"):
+        count = getattr(cfg, name)
+        if not 1 <= count < 2 ** 32:
+            errors.append(f"{name}: must be >= 1 and < 2**32, got {count}")
     if cfg.n_samples < 2:
         errors.append(f"n_samples: must be >= 2, got {cfg.n_samples}")
     if not (0 <= cfg.seed < 2 ** 64):

@@ -21,7 +21,7 @@ Rayleigh level-crossing-rate oracle used to validate the crossing estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -104,11 +104,6 @@ class CorrelationSeries:
             raise ValueError("values length must match the lag grid")
         if not np.all(np.isfinite(values)):
             raise ValueError("correlation values must be finite")
-
-
-def relabel(series: CorrelationSeries, kind: str) -> CorrelationSeries:
-    """Same values under another kind label (e.g. the shared rxx/ryy form)."""
-    return replace(series, kind=kind)
 
 
 def bessel_j0(x):

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twdpsim import cli, harness
 from twdpsim.cli import ConfigError, cli_dispatch, parse_config
 from twdpsim.estimators import LagError
 from twdpsim.fileio import read_series_csv, read_trace
-from twdpsim.params import DEFAULT_AOA1, DEFAULT_AOA2, validate_scenario
+from twdpsim.params import DEFAULT_AOA1, DEFAULT_AOA2, ScenarioConfig, validate_scenario
 from twdpsim.sos import envelope_bound
 
 
@@ -63,6 +65,37 @@ class TestParseConfig:
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("gamma = 1.5\n")
+
+    def test_overflowing_component_power_rejected(self):
+        with pytest.raises(ConfigError, match="omega must be finite"):
+            parse_config("v1 = 1e200\n")
+
+
+_CONFIG_KEYS = sorted(cli._FLOAT_KEYS | cli._INT_KEYS)
+_CONFIG_LINE = st.tuples(
+    st.one_of(st.sampled_from(_CONFIG_KEYS), st.text(max_size=8)),
+    st.one_of(
+        st.floats().map(repr),
+        st.integers().map(str),
+        st.text(max_size=12),
+    ),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(),
+        st.lists(st.one_of(_CONFIG_LINE, st.text(max_size=20)), max_size=8).map("\n".join),
+    )
+)
+def test_parse_config_total(text):
+    # Any document either parses to a scenario or raises ConfigError.
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
 
 
 @pytest.fixture()

@@ -5,6 +5,7 @@ import pytest
 from helpers import synthetic_ensemble
 
 from twdpsim.estimators import (
+    ESTIMATOR_KINDS,
     LagError,
     default_anchors,
     ensemble_correlation,
@@ -81,6 +82,40 @@ class TestEnsembleCorrelationSynthetic:
         assert np.all(np.diff(anchors) == 10)
         with pytest.raises(LagError):
             default_anchors(n_samples=100, max_lag=100)
+
+
+# Each kind's lag product z-components (a, b), summed as a[t] * b[t+l].
+_DEFINITIONS = {
+    "rxx": lambda z: (z.real, z.real),
+    "ryy": lambda z: (z.imag, z.imag),
+    "rxy": lambda z: (z.real, z.imag),
+    "ryx": lambda z: (z.imag, z.real),
+    "rzz": lambda z: (z, z.conj()),
+    "rzz_re": lambda z: (z, z.conj()),
+    "rzz_im": lambda z: (z, z.conj()),
+    "rsq": lambda z: (np.abs(z) ** 2, np.abs(z) ** 2),
+}
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_per_trial_correlation_matches_definition(kind):
+    scn = synth_scenario(3, 200)
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal((3, 200)) + 1j * rng.standard_normal((3, 200))
+    grid = small_grid(scn, 31)
+    anchors = np.array([0, 3, 4, 50, 101, 168])
+    got = per_trial_correlation(synthetic_ensemble(z, scn), kind, grid, anchors)
+    a, b = _DEFINITIONS[kind](z)
+    want = np.array(
+        [[sum(a[m, t] * b[m, t + lag] for t in anchors) / anchors.size for lag in range(31)]
+         for m in range(3)]
+    )
+    if kind == "rzz_re":
+        want = want.real
+    elif kind == "rzz_im":
+        want = want.imag
+    assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 class TestEnsembleCorrelationStatistical:

@@ -3,9 +3,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twdpsim.fileio import (
     BadMagicError,
+    TraceFormatError,
     TruncatedPayloadError,
     VersionMismatchError,
     read_series_csv,
@@ -104,6 +107,24 @@ class TestTraceErrors:
         with pytest.raises(TruncatedPayloadError):
             read_trace(io.BytesIO(b"TWDP"))
 
+    def test_trailing_bytes(self):
+        with pytest.raises(TraceFormatError, match="2 trailing bytes"):
+            read_trace(io.BytesIO(bytes(self._bytes() + b"\0\0")))
+
+    def test_nan_header_float(self):
+        raw = self._bytes()
+        struct.pack_into("<d", raw, 58, float("nan"))  # doppler_hz
+        with pytest.raises(TraceFormatError, match="doppler") as info:
+            read_trace(io.BytesIO(bytes(raw)))
+        assert info.value.__cause__ is not None
+
+    def test_negative_tone_amplitude(self):
+        raw = self._bytes()
+        struct.pack_into("<d", raw, 10, -1.0)  # v1
+        with pytest.raises(TraceFormatError, match="v1") as info:
+            read_trace(io.BytesIO(bytes(raw)))
+        assert info.value.__cause__ is not None
+
 
 class TestSeriesTables:
     def test_csv_round_trip_exact(self, tmp_path):
@@ -139,3 +160,31 @@ class TestSeriesTables:
         assert np.array_equal(np.array(doc["rows"]), rows)
         cols, csv_rows = read_series_csv(csv_path)
         assert np.array_equal(csv_rows, np.array(doc["rows"]))
+
+
+# The 16-sample trace the error tests above corrupt by hand.
+_VALID_TRACE = bytes(TestTraceErrors()._bytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    floats=st.lists(st.tuples(st.sampled_from(range(10, 74, 8)), st.floats()), max_size=3),
+    edits=st.lists(st.tuples(st.integers(10, 97), st.binary(min_size=1, max_size=8)), max_size=2),
+    cut=st.one_of(st.none(), st.integers(0, len(_VALID_TRACE))),
+    tail=st.binary(max_size=24),
+)
+def test_read_trace_mutated_bytes(floats, edits, cut, tail):
+    # Any corruption of a valid trace (header fields past magic and version
+    # overwritten, the file cut short, bytes appended) either reads or raises
+    # TraceFormatError.
+    raw = bytearray(_VALID_TRACE)
+    for offset, value in floats:
+        struct.pack_into("<d", raw, offset, value)
+    for offset, chunk in edits:
+        raw[offset : offset + len(chunk)] = chunk
+    data = bytes(raw[:cut]) + tail
+    try:
+        trace = read_trace(io.BytesIO(data))
+    except TraceFormatError:
+        return
+    assert len(data) == 98 + 16 * trace.samples.size

@@ -14,6 +14,7 @@ from twdpsim.harness import (
     compare_series,
     default_correlation_grid,
     derive_seed,
+    pdf_range,
     run_validation,
 )
 from twdpsim.estimators import ensemble_correlation
@@ -228,6 +229,23 @@ class TestRunValidation:
             (rec,) = run_validation([vs], seed=4).records
             assert rec.oracle == oracle
             assert rec.max_abs_dev == pytest.approx(np.abs(emp - oracle_cdf).max(), abs=1e-15)
+
+    def test_pdf_range_reaches_the_envelope_bound(self):
+        # 64 sinusoids over 40000 samples reach envelopes past 3: the record
+        # is scored on a range up to the envelope bound, not raised
+        cfg = make_scenario(n_sinusoids=64, n_trials=5, n_samples=40000, fd_ts=0.5)
+        bound = sos.envelope_bound(validate_scenario(cfg))
+        assert bound > PDF_RANGE[1]
+        assert pdf_range(validate_scenario(cfg)) == (PDF_RANGE[0], bound)
+        tol = {"pdf": Tolerance(1.0, 1.0)}
+        vs = ValidationScenario("wide", cfg, ("pdf",), tol, "reference_formula")
+        (rec,) = run_validation([vs], seed=0).records
+        assert (rec.scenario, rec.statistic) == ("wide", "pdf")
+        assert 0.0 <= rec.max_abs_dev <= 1.0 and rec.passed
+
+    def test_builtin_pdf_range_unchanged(self):
+        (pdf,) = [vs for vs in builtin_scenarios() if "pdf" in vs.statistics]
+        assert pdf_range(validate_scenario(pdf.scenario)) == PDF_RANGE
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, "a") == derive_seed(7, "a")

@@ -150,6 +150,13 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenarioError, match="n_trials"):
             validate_scenario(make_scenario(n_trials=0))
 
+    @pytest.mark.parametrize("field", ["n_sinusoids", "n_trials"])
+    def test_counts_fit_the_u32_header_fields(self, field):
+        # validated only: a scenario this large is never generated
+        assert scenario_violations(make_scenario(**{field: 2 ** 32 - 1})) == []
+        with pytest.raises(InvalidScenarioError, match=f"{field}: .*2\\*\\*32"):
+            validate_scenario(make_scenario(**{field: 2 ** 32}))
+
     def test_collects_every_violation(self):
         cfg = make_scenario(fd_ts=0.7, n_trials=0, n_samples=1, n_sinusoids=0)
         try:
