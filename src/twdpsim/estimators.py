@@ -100,26 +100,28 @@ def default_anchors(
 
 
 def _masked_crosscorr(
-    left: np.ndarray, right: np.ndarray, mask: np.ndarray, lags: np.ndarray
+    z: np.ndarray, left, right, mask: np.ndarray, lags: np.ndarray
 ) -> np.ndarray:
-    """Per-trial sums over t of conj(left[t])*mask[t]*right[t+l] for l in lags.
+    """Per-trial sums over t of conj(a[t])*mask[t]*b[t+l] for l in lags.
 
-    Real input goes through rfft/irfft, complex input through fft/ifft with
-    half as many trials per chunk, so the FFT workspace keeps its size.
+    a = left(z) and b = right(z) are built per trial chunk.  Real sequences go
+    through rfft/irfft, complex ones through fft/ifft with half as many trials
+    per chunk, so the FFT workspace keeps its size.
     """
-    n = left.shape[1]
+    n = z.shape[1]
     nfft = sp_fft.next_fast_len(n + int(lags[-1]) + 1)
-    if np.iscomplexobj(left):
+    empty = left(z[:0])
+    if np.iscomplexobj(empty):
         forward, inverse, chunk = sp_fft.fft, sp_fft.ifft, _FFT_TRIAL_CHUNK // 2
     else:
         forward, inverse, chunk = sp_fft.rfft, sp_fft.irfft, _FFT_TRIAL_CHUNK
     # Fortran order keeps each lag's trials contiguous, so a mean over trials
     # sums them pairwise; the digits of every reported mean depend on it.
-    out = np.empty((left.shape[0], lags.size), dtype=left.dtype, order="F")
-    for start in range(0, left.shape[0], chunk):
+    out = np.empty((z.shape[0], lags.size), dtype=empty.dtype, order="F")
+    for start in range(0, z.shape[0], chunk):
         stop = start + chunk
-        lf = forward(left[start:stop] * mask, nfft, axis=1)
-        rf = forward(right[start:stop], nfft, axis=1)
+        lf = forward(left(z[start:stop]) * mask, nfft, axis=1)
+        rf = forward(right(z[start:stop]), nfft, axis=1)
         np.conjugate(lf, out=lf)
         lf *= rf
         out[start:stop] = inverse(lf, nfft, axis=1)[:, lags]
@@ -151,11 +153,11 @@ def per_trial_correlation(
         raise LagError("anchor set overlaps the final max-lag window")
 
     left, right, part = _LAG_PRODUCTS[kind]
-    z = ens.sample_matrix
-    seq = {name: _SEQUENCES[name](z) for name in {left, right}}
     mask = np.zeros(scn.n_samples)
     mask[anchors] = 1.0
-    products = _masked_crosscorr(seq[left], seq[right], mask, lags)
+    products = _masked_crosscorr(
+        ens.sample_matrix, _SEQUENCES[left], _SEQUENCES[right], mask, lags
+    )
     if part is not None:
         products = part(products)
     return products / anchors.size

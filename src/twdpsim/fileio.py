@@ -60,7 +60,7 @@ class TruncatedPayloadError(TraceFormatError):
 def _open(target, mode: str):
     """Open a path in ``mode``, or pass an already open file through."""
     if isinstance(target, (str, PathLike)):
-        with open(target, mode) as handle:
+        with open(target, mode, encoding=None if "b" in mode else "utf-8") as handle:
             yield handle
     else:
         yield target
@@ -168,8 +168,12 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_series_csv(sink, columns: list[str], rows: np.ndarray) -> None:
-    """Write a rectangular numeric table with a header row."""
+def _series_rows(columns: list[str], rows) -> np.ndarray:
+    """Check a table for the series writers; return its rows as 2-D floats."""
+    if not columns:
+        raise ValueError("a series table needs at least one column")
+    if any(c in name for name in columns for c in ",\n\r"):
+        raise ValueError(f"a column name in {columns!r} holds a comma or a line break")
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != len(columns):
         raise ValueError(
@@ -177,6 +181,12 @@ def write_series_csv(sink, columns: list[str], rows: np.ndarray) -> None:
         )
     if not np.all(np.isfinite(rows)):
         raise ValueError("series values must be finite")
+    return rows
+
+
+def write_series_csv(sink, columns: list[str], rows: np.ndarray) -> None:
+    """Write a rectangular numeric table with a header row."""
+    rows = _series_rows(columns, rows)
     with _open(sink, "w") as handle:
         handle.write(",".join(columns) + "\n")
         for row in rows:
@@ -184,30 +194,22 @@ def write_series_csv(sink, columns: list[str], rows: np.ndarray) -> None:
 
 
 def read_series_csv(source) -> tuple[list[str], np.ndarray]:
-    """Parse a table written by :func:`write_series_csv`."""
+    """Parse a table written by :func:`write_series_csv`; rows come back 2-D."""
     with _open(source, "r") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+        text = handle.read()
+    if not text:
         raise ValueError("empty series file")
-    columns = lines[0].split(",")
-    rows = np.array(
-        [[float(field) for field in line.split(",")] for line in lines[1:] if line],
-        dtype=float,
-    )
-    if rows.size and rows.shape[1] != len(columns):
+    header, *lines = text.split("\n")  # splitlines() also splits at "\x85"
+    columns = header.split(",")
+    rows = [[float(field) for field in line.split(",")] for line in lines if line]
+    if any(len(row) != len(columns) for row in rows):
         raise ValueError("row width does not match header")
-    return columns, rows
+    return columns, np.array(rows, dtype=float).reshape(len(rows), len(columns))
 
 
 def write_series_json(sink, columns: list[str], rows: np.ndarray) -> None:
     """JSON mirror of the CSV table: {"columns": [...], "rows": [[...], ...]}."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != len(columns):
-        raise ValueError(
-            f"{len(columns)} columns declared but rows have {rows.shape[1]} fields"
-        )
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("series values must be finite")
+    rows = _series_rows(columns, rows)
     doc = {"columns": list(columns), "rows": rows.tolist()}
     payload = json.dumps(doc, indent=2, sort_keys=True)
     with _open(sink, "w") as handle:

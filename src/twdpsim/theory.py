@@ -12,7 +12,8 @@ from the characteristic function of the two-tone plus Gaussian composition.
 The finite-N generator's envelope is a sum of N+2 independent random-phase
 phasors at any fixed time, so its exact CDF is Kluyver's (1905)
 random-phasor-sum integral; at K=0 it sits about 0.1153/N in sup-CDF from the
-Rayleigh law.
+Rayleigh law.  All three envelope oracles sum their Hankel integrals on one
+Gauss-Legendre rule, :func:`_gl_nodes_on`.
 
 Also provided: the isotropic-scattering Bessel kernel J0 and the closed-form
 Rayleigh level-crossing-rate oracle used to validate the crossing estimator.
@@ -25,17 +26,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .params import TWO_PI, ChannelParams
 
 CORRELATION_KINDS = ("rxx", "ryy", "rxy", "ryx", "rzz_re", "rzz_im", "rsq")
 SERIES_SOURCES = ("reference", "simulator_formula", "empirical")
 
-# Gaussian tail cut for the envelope density integral: integrate u only while
-# exp(-sigma^2 u^2 / 2) >= 1e-14.
+# Envelope-law Hankel integrals: Gauss-Legendre nodes per period of the
+# fastest oscillation, the reference laws' Gaussian tail cut (integrate u only
+# while exp(-sigma^2 u^2 / 2) >= 1e-14), and a budget of 32 MiB per float64
+# node array, which a too narrow diffuse part (K past ~5e8 on [0, 3]) exceeds.
+_GL_ORDER = 24
 _PDF_TAIL_EPS = 1e-14
-_PDF_EPSABS = 1e-10
+_GL_MAX_NODES = 2 ** 22
 
 # Kluyver's integral for the finite-N envelope CDF: Gauss-Legendre panels on
 # [0, U] with U = _KLUYVER_SPLIT / a, then exp-sinh nodes up the ray U + i*t,
@@ -43,7 +47,6 @@ _PDF_EPSABS = 1e-10
 # functions.  Ray terms whose net frequency is within _OMEGA_ZERO of zero are
 # counted once, the others twice (see envelope_cdf_simulator).
 _KLUYVER_SPLIT = 10.0
-_KLUYVER_GL_ORDER = 24
 _EXPSINH_STEP = 1.0 / 16
 _EXPSINH_HALF_WIDTH = 4.0
 _HANKEL_Z_MAX = 1e13
@@ -120,6 +123,17 @@ def bessel_j0(x):
 @lru_cache(maxsize=32)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
+
+
+def _gl_nodes_on(u_max: float, freq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, u_max], 24 per period of freq."""
+    n_panels = max(1, math.ceil(u_max * freq / TWO_PI))
+    if n_panels * _GL_ORDER > _GL_MAX_NODES:
+        raise ValueError("diffuse part too narrow for the envelope quadrature")
+    xi, wi = _gl_nodes(_GL_ORDER)
+    half = u_max / (2 * n_panels)
+    u = ((2 * np.arange(n_panels) + 1)[:, None] * half + half * xi).ravel()
+    return u, np.tile(wi * half, n_panels)
 
 
 def _panel_means_block(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,6 +325,21 @@ sim_ccf_quadrature = ref_ccf_quadrature
 sim_acf_complex = ref_acf_complex
 
 
+def _reference_hankel_weights(p: ChannelParams, r_max: float):
+    """Nodes u and weights w * J0(vt1 u) J0(vt2 u) exp(-st2 u^2 / 2) of the
+    reference Hankel integrals, for evaluation points up to ``r_max``."""
+    if p.diffuse_power <= 0:
+        raise ValueError(
+            "envelope density requires diffuse_power > 0 (singular otherwise)"
+        )
+    vt1 = p.v1 / math.sqrt(p.omega)
+    vt2 = p.v2 / math.sqrt(p.omega)
+    st2 = p.diffuse_power / (2.0 * p.omega)
+    u_max = math.sqrt(2.0 * math.log(1.0 / _PDF_TAIL_EPS) / st2)
+    u, w = _gl_nodes_on(u_max, r_max + vt1 + vt2)
+    return u, w * special.j0(vt1 * u) * special.j0(vt2 * u) * np.exp(-0.5 * st2 * u * u)
+
+
 def envelope_pdf_reference(p: ChannelParams, z):
     """Reference envelope density of the normalized process.
 
@@ -321,69 +350,37 @@ def envelope_pdf_reference(p: ChannelParams, z):
 
     with vt_i = v_i/sqrt(omega) and st2 = diffuse_power/(2*omega).  The
     integral is truncated where the Gaussian factor drops below 1e-14 and
-    evaluated to 1e-10 absolute by adaptive quadrature.  Diffuse-free
-    channels have a singular density and are not supported.
+    summed on :func:`_gl_nodes_on` for the frequency max(z) + vt1 + vt2.
+    Diffuse-free channels have a singular density and are not supported.
     """
-    if p.diffuse_power <= 0:
-        raise ValueError(
-            "envelope density requires diffuse_power > 0 (singular otherwise)"
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    bad = zs[~np.isfinite(zs) | (zs < 0)]
+    if bad.size:
+        raise ValueError(f"envelope value must be finite and >= 0, got {bad[0]}")
+    u, weighted = _reference_hankel_weights(p, float(zs.max(initial=0.0)))
+    weighted *= u
+    out = np.array([zv * (special.j0(zv * u) @ weighted) for zv in zs])
+    neg = np.flatnonzero(out < -1e-8)
+    if neg.size:
+        raise ArithmeticError(
+            f"envelope density came out negative ({out[neg[0]]:g}) at z={zs[neg[0]]:g}"
         )
-    vt1 = p.v1 / math.sqrt(p.omega)
-    vt2 = p.v2 / math.sqrt(p.omega)
-    st2 = p.diffuse_power / (2.0 * p.omega)
-    u_max = math.sqrt(2.0 * math.log(1.0 / _PDF_TAIL_EPS) / st2)
-
-    def density(zv: float) -> float:
-        if zv < 0:
-            raise ValueError(f"envelope value must be >= 0, got {zv}")
-
-        def integrand(u):
-            return (
-                u
-                * special.j0(zv * u)
-                * special.j0(vt1 * u)
-                * special.j0(vt2 * u)
-                * np.exp(-0.5 * st2 * u * u)
-            )
-
-        val, _ = integrate.quad(
-            integrand, 0.0, u_max, epsabs=_PDF_EPSABS, limit=800
-        )
-        val *= zv
-        if val < -1e-8:
-            raise ArithmeticError(
-                f"envelope density came out negative ({val:g}) at z={zv:g}"
-            )
-        return max(val, 0.0)
-
-    if np.ndim(z) == 0:
-        return density(float(z))
-    return np.array([density(float(zv)) for zv in np.asarray(z, dtype=float)])
+    out = np.maximum(out, 0.0)
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def envelope_cdf_reference(p: ChannelParams, edges) -> np.ndarray:
-    """Reference envelope CDF at the given ascending edge values.
+    """Reference envelope CDF at the given ascending edge values (0 at r <= 0).
 
-    Piecewise integral of :func:`envelope_pdf_reference`, accumulated from 0.
+    F(r) = r * int_0^inf J1(r u) J0(vt1 u) J0(vt2 u) exp(-st2 u^2 / 2) du is
+    :func:`envelope_pdf_reference` integrated from 0 to r in closed form over
+    z (int_0^r z J0(z u) dz = r J1(r u) / u), on the density's nodes.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be 1-D and strictly ascending")
-    cdf = np.empty(edges.size)
-    prev_edge = 0.0
-    acc = 0.0
-    for i, e in enumerate(edges):
-        if e > prev_edge:
-            seg, _ = integrate.quad(
-                lambda zv: envelope_pdf_reference(p, zv),
-                prev_edge,
-                e,
-                epsabs=1e-9,
-                limit=400,
-            )
-            acc += seg
-            prev_edge = e
-        cdf[i] = acc
+    u, weighted = _reference_hankel_weights(p, float(edges.max(initial=0.0)))
+    cdf = [rv * (special.j1(rv * u) @ weighted) if rv > 0 else 0.0 for rv in edges]
     return np.clip(cdf, 0.0, 1.0)
 
 
@@ -452,12 +449,8 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
 
 
 def _kluyver_head(r, tones, a, n, split) -> np.ndarray:
-    freq = float(r.max()) + sum(tones) + n * a
-    n_panels = max(1, math.ceil(split * freq / TWO_PI))
-    xi, wi = _gl_nodes(_KLUYVER_GL_ORDER)
-    half = split / (2 * n_panels)
-    u = ((2 * np.arange(n_panels) + 1)[:, None] * half + half * xi).ravel()
-    weighted = np.tile(wi * half, n_panels) * special.j0(a * u) ** n
+    u, w = _gl_nodes_on(split, float(r.max()) + sum(tones) + n * a)
+    weighted = w * special.j0(a * u) ** n
     for v in tones:
         weighted *= special.j0(v * u)
     return np.array([rv * special.j1(rv * u) @ weighted for rv in r])

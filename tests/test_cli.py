@@ -218,6 +218,12 @@ class TestCliDispatch:
         assert cli_dispatch(["pdf", "--bins", "1", "--config", str(rayleigh_cfg)]) == 2
         assert "error: bins must be >= 2" in capsys.readouterr().err
 
+    def test_pdf_oracle_node_budget_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("k = 1e12\ngamma = 0.5\nn_trials = 2\nn_samples = 101\n")
+        assert cli_dispatch(["pdf", "--config", str(cfg)]) == 2
+        assert "diffuse part too narrow" in capsys.readouterr().err
+
     def test_lag_error_exits_2(self, small_cfg, monkeypatch, capsys):
         def reject(*args, **kwargs):
             raise LagError("anchor set is empty")

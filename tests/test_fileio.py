@@ -1,5 +1,8 @@
 import io
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,13 +156,63 @@ class TestSeriesTables:
         json_path = tmp_path / "s.json"
         write_series_csv(csv_path, ["x", "y"], rows)
         write_series_json(json_path, ["x", "y"], rows)
-        import json
-
         doc = json.loads(json_path.read_text())
         assert doc["columns"] == ["x", "y"]
         assert np.array_equal(np.array(doc["rows"]), rows)
         cols, csv_rows = read_series_csv(csv_path)
         assert np.array_equal(csv_rows, np.array(doc["rows"]))
+
+    @pytest.mark.parametrize("writer", [write_series_csv, write_series_json])
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_writers_reject_separators_in_names(self, tmp_path, writer, name):
+        with pytest.raises(ValueError, match="column name"):
+            writer(tmp_path / "x", [name, "c"], np.ones((2, 2)))
+        assert not (tmp_path / "x").exists()
+
+    def test_csv_header_only_table(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_series_csv(path, ["a", "b", "c"], np.empty((0, 3)))
+        cols, rows = read_series_csv(path)
+        assert cols == ["a", "b", "c"]
+        assert rows.shape == (0, 3)
+
+
+_FORBIDDEN = ",\n\r"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    columns=st.lists(st.text(max_size=6), min_size=1, max_size=4),
+    n_rows=st.integers(0, 4),
+    data=st.data(),
+)
+def test_series_tables_round_trip_or_raise(columns, n_rows, data):
+    # For finite rows and names free of ',', '\n' and '\r', the CSV table
+    # reads back exactly (to the sign of zero) and the JSON document holds the
+    # same table; for anything else both writers raise ValueError.
+    size = n_rows * len(columns)
+    values = data.draw(st.lists(st.floats(), min_size=size, max_size=size))
+    rows = np.array(values, dtype=float).reshape(n_rows, len(columns))
+    legal = np.all(np.isfinite(rows)) and not any(
+        c in name for name in columns for c in _FORBIDDEN
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, json_path = Path(tmp) / "s.csv", Path(tmp) / "s.json"
+        if not legal:
+            with pytest.raises(ValueError):
+                write_series_csv(csv_path, columns, rows)
+            with pytest.raises(ValueError):
+                write_series_json(json_path, columns, rows)
+            return
+        write_series_csv(csv_path, columns, rows)
+        write_series_json(json_path, columns, rows)
+        cols, back = read_series_csv(csv_path)
+        doc = json.loads(json_path.read_text(encoding="utf-8"))
+    json_rows = np.array(doc["rows"], dtype=float).reshape(-1, len(columns))
+    assert cols == doc["columns"] == columns
+    for table in (back, json_rows):
+        assert table.shape == rows.shape
+        assert table.tobytes() == rows.tobytes()
 
 
 # The 16-sample trace the error tests above corrupt by hand.

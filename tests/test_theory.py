@@ -341,6 +341,84 @@ class TestEnvelopePdfReference:
         want = 1.0 - np.exp(-edges ** 2)
         assert np.abs(cdf - want).max() < 1e-6
 
+    def test_against_mpmath_at_high_k(self):
+        # K=1000, Gamma=0.7: the diffuse part is narrow (sigma ~ 0.022) and
+        # the density peaks at z ~ 1.375, just inside vt1 + vt2 = 1.392
+        p = from_k_gamma(1000.0, 0.7)
+        z = 1.375
+        pdf, cdf = _mpmath_reference_pdf_cdf(p, z)
+        assert pdf > 2.5
+        assert abs(envelope_pdf_reference(p, z) - pdf) <= 1e-12
+        assert abs(envelope_cdf_reference(p, [z])[0] - cdf) <= 1e-12
+
+    def test_narrow_diffuse_part(self):
+        # At K=1e6 (sigma ~ 7e-4) the mass sits between |vt1 - vt2| and
+        # vt1 + vt2; at K=1e12 the node budget refuses before allocating.
+        p = from_k_gamma(1e6, 0.5)
+        vt1, vt2 = p.v1 / math.sqrt(p.omega), p.v2 / math.sqrt(p.omega)
+        cdf = envelope_cdf_reference(p, [vt1 - vt2 - 0.01, vt1 + vt2 + 0.01])
+        assert np.abs(cdf - [0.0, 1.0]).max() <= 1e-9
+        narrow = from_k_gamma(1e12, 0.5)
+        with pytest.raises(ValueError, match="too narrow"):
+            envelope_pdf_reference(narrow, 1.0)
+        with pytest.raises(ValueError, match="too narrow"):
+            envelope_cdf_reference(narrow, [1.0])
+
+    @pytest.mark.parametrize("k,gamma", [(10.0, 1.0), (1000.0, 0.7)])
+    def test_cdf_integrates_pdf(self, k, gamma):
+        # 16-point Gauss-Legendre panels 0.01 wide over [0, r]
+        p = from_k_gamma(k, gamma)
+        xi, wi = np.polynomial.legendre.leggauss(16)
+        for r in (0.5, 1.2, 2.0):
+            n_panels = round(r / 0.01)
+            half = r / (2 * n_panels)
+            z = ((2 * np.arange(n_panels) + 1)[:, None] * half + half * xi).ravel()
+            integral = envelope_pdf_reference(p, z) @ np.tile(wi * half, n_panels)
+            assert abs(envelope_cdf_reference(p, [r])[0] - integral) <= 1e-12
+
+    @pytest.mark.parametrize("k,gamma", [(0.0, 0.0), (10.0, 1.0), (1000.0, 0.7)])
+    def test_array_input_matches_scalar_input(self, k, gamma):
+        # The nodes follow the largest point, so only the last bits may move
+        p = from_k_gamma(k, gamma)
+        z = np.linspace(0.0, 3.0, 31)
+        pdf = envelope_pdf_reference(p, z)
+        cdf = envelope_cdf_reference(p, z)
+        for i, zv in enumerate(z):
+            scalar = envelope_pdf_reference(p, float(zv))
+            assert isinstance(scalar, float)
+            assert scalar == envelope_pdf_reference(p, z[i : i + 1])[0]
+            assert abs(scalar - pdf[i]) <= 1e-14
+            assert abs(envelope_cdf_reference(p, [zv])[0] - cdf[i]) <= 1e-14
+
+
+def _mpmath_reference_pdf_cdf(p, z):
+    """Reference density and CDF at z with mpmath Bessel functions.
+
+    The Hankel integrands of envelope_pdf_reference and envelope_cdf_reference
+    on 20-point Gauss-Legendre panels one period of z + vt1 + vt2 wide, cut
+    where the Gaussian factor reaches 1e-20.
+    """
+    vt1, vt2 = p.v1 / math.sqrt(p.omega), p.v2 / math.sqrt(p.omega)
+    st2 = p.diffuse_power / (2 * p.omega)
+    u_max = math.sqrt(2 * math.log(1e20) / st2)
+    n_panels = math.ceil(u_max * (z + vt1 + vt2) / TWO_PI)
+    half = u_max / (2 * n_panels)
+    xi, wi = np.polynomial.legendre.leggauss(20)
+    pdf = cdf = mpmath.mpf(0)
+    for k in range(n_panels):
+        for x, w in zip(xi, wi):
+            u = mpmath.mpf((2 * k + 1) * half + half * x)
+            g = (
+                w
+                * half
+                * mpmath.besselj(0, vt1 * u)
+                * mpmath.besselj(0, vt2 * u)
+                * mpmath.exp(-st2 * u * u / 2)
+            )
+            pdf += g * u * mpmath.besselj(0, z * u)
+            cdf += g * mpmath.besselj(1, z * u)
+    return float(z * pdf), float(z * cdf)
+
 
 # sup over x > 0 of sqrt(x) * |J1(x)| is 0.82503..., rounded up
 _SQRT_X_J1_SUP = 0.8251
@@ -426,6 +504,23 @@ class TestEnvelopeCdfSimulator:
         assert cdf[-1] == pytest.approx(1.0, abs=1e-10)
         beyond = envelope_cdf_simulator(scn.params, n, [bound * 1.01, bound * 2])
         assert np.allclose(beyond, 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "k,gamma,want",
+        [
+            (10.0, 0.5, [0.06485995282709672, 0.4793014912610022, 0.9999912469478882]),
+            (10.0, 1.0, [0.15339438158603563, 0.48637101863330273, 0.9999310553162377]),
+        ],
+    )
+    def test_pinned_values_on_criterion_6_edges(self, k, gamma, want):
+        # Exact values on the 100-bin [0, 3) histogram edges, at r = 0.39,
+        # 0.93 and 2.01.  They pin the order of the Gauss-Legendre head's
+        # products (multiplying the tone factors before J0(a u)^N moves all
+        # six); a BLAS build that sums dot products in another order may move
+        # the last bit.
+        edges = np.linspace(0.0, 3.0, 101)[1:]
+        cdf = envelope_cdf_simulator(from_k_gamma(k, gamma), 8, edges)
+        assert cdf[[12, 30, 66]].tolist() == want
 
     def test_rejects_too_few_sinusoids(self):
         with pytest.raises(ValueError, match="n_sinusoids"):
