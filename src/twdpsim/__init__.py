@@ -58,6 +58,7 @@ from .estimators import (
     envelope_pdf,
     level_crossing_rate,
     per_trial_correlation,
+    per_trial_correlations,
     per_trial_crossing_rates,
 )
 from .harness import (

@@ -27,12 +27,13 @@ _FFT_TRIAL_CHUNK = 256
 
 # Per kind: the sequences (a, b) of z = x + jy whose products
 # conj(a[t]) b[t+l] it sums, and the part of the sum it reports (None: all).
-# rzz, z(t) conj(z(t+l)), is the conjugate of the (z, z) sum.
+# rzz, z(t) conj(z(t+l)), is the conjugate of the (z, z) sum.  Sequences are
+# listed by falling FFT workspace (complex, then real with squares, then real).
 _SEQUENCES = {
-    "x": lambda z: z.real,
-    "y": lambda z: z.imag,
     "z": lambda z: z,
     "|z|^2": lambda z: z.real * z.real + z.imag * z.imag,
+    "x": lambda z: z.real,
+    "y": lambda z: z.imag,
 }
 _LAG_PRODUCTS = {
     "rxx": ("x", "x", None),
@@ -128,6 +129,56 @@ def _masked_crosscorr(
     return out
 
 
+def per_trial_correlations(
+    ens: TraceEnsemble,
+    kinds: list[str] | tuple[str, ...],
+    grid: LagGrid,
+    anchors: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Anchor-averaged lag products per trial for several kinds at once.
+
+    Returns {kind: (n_trials, n_lags) array}.  Kinds that share a sequence
+    pair (rzz, rzz_re and rzz_im all use (z, z)) share one FFT correlation;
+    each kind's part and the division by the anchor count are applied to the
+    raw products, so every array equals its :func:`per_trial_correlation`.
+    """
+    unknown = [kind for kind in kinds if kind not in ESTIMATOR_KINDS]
+    if unknown:
+        raise ValueError(f"unknown estimator kind {unknown[0]!r}")
+    scn = ens.scenario
+    lags = lag_samples(grid, scn.sample_period_s, scn.n_samples)
+    if anchors is None:
+        anchors = default_anchors(scn.n_samples, int(lags[-1]))
+    anchors = np.asarray(anchors, dtype=int)
+    if anchors.size == 0:
+        raise LagError("anchor set is empty")
+    if anchors[-1] + lags[-1] >= scn.n_samples:
+        raise LagError("anchor set overlaps the final max-lag window")
+
+    mask = np.zeros(scn.n_samples)
+    mask[anchors] = 1.0
+    # Peak RSS hangs on allocation order: the largest FFT workspace goes
+    # first, before any result is held, and the raw products are released
+    # before the division.  Other orders left 6-30 MB more peak RSS in the
+    # builtin suite or in one-kind calls than one call per kind did.
+    pairs = sorted(
+        dict.fromkeys(_LAG_PRODUCTS[kind][:2] for kind in kinds),
+        key=lambda pair: list(_SEQUENCES).index(pair[0]),
+    )
+    raw = {
+        (left, right): _masked_crosscorr(
+            ens.sample_matrix, _SEQUENCES[left], _SEQUENCES[right], mask, lags
+        )
+        for left, right in pairs
+    }
+    parts = {}
+    for kind in kinds:
+        left, right, part = _LAG_PRODUCTS[kind]
+        parts[kind] = raw[left, right] if part is None else part(raw[left, right])
+    del raw
+    return {kind: values / anchors.size for kind, values in parts.items()}
+
+
 def per_trial_correlation(
     ens: TraceEnsemble,
     kind: str,
@@ -140,27 +191,7 @@ def per_trial_correlation(
     rxx/ryy/rxy/ryx are the component products, rzz is z(t)*conj(z(t+tau))
     (complex output; rzz_re/rzz_im select one part), rsq is |z|^2 products.
     """
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    scn = ens.scenario
-    lags = lag_samples(grid, scn.sample_period_s, scn.n_samples)
-    if anchors is None:
-        anchors = default_anchors(scn.n_samples, int(lags[-1]))
-    anchors = np.asarray(anchors, dtype=int)
-    if anchors.size == 0:
-        raise LagError("anchor set is empty")
-    if anchors[-1] + lags[-1] >= scn.n_samples:
-        raise LagError("anchor set overlaps the final max-lag window")
-
-    left, right, part = _LAG_PRODUCTS[kind]
-    mask = np.zeros(scn.n_samples)
-    mask[anchors] = 1.0
-    products = _masked_crosscorr(
-        ens.sample_matrix, _SEQUENCES[left], _SEQUENCES[right], mask, lags
-    )
-    if part is not None:
-        products = part(products)
-    return products / anchors.size
+    return per_trial_correlations(ens, (kind,), grid, anchors)[kind]
 
 
 def ensemble_correlation(

@@ -351,6 +351,14 @@ def run_validation(
         ):
             ensemble = sos.generate_ensemble(scn)
         grid = default_correlation_grid(scn) if corr_stats else None
+        means = {}
+        if corr_stats:
+            # One FFT correlation per sequence pair (rzz_re and rzz_im share
+            # (z, z)).  The per-trial arrays go at once: held across the next
+            # scenario's synthesis they fragmented the heap, +30 MB peak RSS.
+            per_trial = estimators.per_trial_correlations(ensemble, corr_stats, grid)
+            means = {kind: values.mean(axis=0) for kind, values in per_trial.items()}
+            del per_trial
         for stat in vs.statistics:
             if stat == "pdf":
                 dev = _pdf_deviation(ensemble, vs.oracle)
@@ -362,7 +370,9 @@ def run_validation(
                 else:
                     dev = _lcr_oracle_deviation(ensemble)
             else:
-                empirical = estimators.ensemble_correlation(ensemble, stat, grid)
+                empirical = CorrelationSeries(
+                    stat, "empirical", grid, means[stat], n_trials=ensemble.n_trials
+                )
                 oracle = oracle_series(stat, scn, grid, vs.oracle)
                 dev = compare_series(empirical, oracle)
             tol = vs.tolerances[stat]

@@ -224,6 +224,13 @@ class TestCliDispatch:
         assert cli_dispatch(["pdf", "--config", str(cfg)]) == 2
         assert "diffuse part too narrow" in capsys.readouterr().err
 
+    def test_panel_kernel_node_budget_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "many.cfg"
+        cfg.write_text("n_sinusoids = 4000000000\n")
+        argv = ["theory", "--kind", "rsq", "--model", "simulator", "--config", str(cfg)]
+        assert cli_dispatch(argv) == 2
+        assert "exceeds the node budget" in capsys.readouterr().err
+
     def test_lag_error_exits_2(self, small_cfg, monkeypatch, capsys):
         def reject(*args, **kwargs):
             raise LagError("anchor set is empty")

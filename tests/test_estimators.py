@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import synthetic_ensemble
 
+from twdpsim import estimators
 from twdpsim.estimators import (
     ESTIMATOR_KINDS,
     LagError,
@@ -14,6 +15,7 @@ from twdpsim.estimators import (
     envelope_picks,
     level_crossing_rate,
     per_trial_correlation,
+    per_trial_correlations,
     per_trial_crossing_rates,
 )
 from twdpsim.params import ChannelParams, make_scenario, validate_scenario
@@ -116,6 +118,30 @@ def test_per_trial_correlation_matches_definition(kind):
         want = want.imag
     assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def test_per_trial_correlations_bundle_is_bit_identical(monkeypatch):
+    # Every kind of one bundle call equals its own per-kind call bit for bit,
+    # and the bundle runs one FFT correlation per distinct sequence pair.
+    scn = synth_scenario(5, 300)
+    rng = np.random.default_rng(23)
+    z = rng.standard_normal((5, 300)) + 1j * rng.standard_normal((5, 300))
+    ens = synthetic_ensemble(z, scn)
+    grid = small_grid(scn, 41)
+    single = {kind: per_trial_correlation(ens, kind, grid) for kind in ESTIMATOR_KINDS}
+    calls = []
+    original = estimators._masked_crosscorr
+    monkeypatch.setattr(
+        estimators, "_masked_crosscorr", lambda *a: calls.append(a[1:3]) or original(*a)
+    )
+    bundle = per_trial_correlations(ens, ESTIMATOR_KINDS, grid)
+    assert list(bundle) == list(ESTIMATOR_KINDS)
+    for kind in ESTIMATOR_KINDS:
+        assert bundle[kind].dtype == single[kind].dtype
+        assert bundle[kind].tobytes() == single[kind].tobytes()
+    assert len(calls) == len(ESTIMATOR_KINDS) - 2  # rzz, rzz_re, rzz_im share (z, z)
+    with pytest.raises(ValueError, match="bogus"):
+        per_trial_correlations(ens, ("rxx", "bogus"), grid)
 
 
 class TestEnsembleCorrelationStatistical:

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from helpers import envelope_mc_draws, j0_first_zero, j0_series, mc_panel_kernels
 
+from twdpsim import theory
 from twdpsim.params import ChannelParams, from_k_gamma, make_scenario, validate_scenario
 from twdpsim.sos import envelope_bound
 from twdpsim.theory import (
     LagGrid,
+    _panel_means,
+    _panel_order,
     bessel_j0,
     envelope_cdf_reference,
     envelope_cdf_simulator,
@@ -83,6 +87,28 @@ class TestBesselJ0:
         assert vals[0] == 1.0
 
 
+KERNEL_CASES = [(62.8, 8), (62.8, 1), (20.0, 64), (200.0, 4)]
+
+
+def _mpmath_panel_kernels(x, n):
+    """f_c and f_s by 30-digit mpmath quadrature of every panel's mean of
+    exp(j*x*cos(g)), each panel split into pieces shorter than about one
+    oscillation."""
+    with mpmath.workdps(30):
+        xm = mpmath.mpf(x)
+        pieces = 4 + int(abs(x) / n)
+        fc = fs = mpmath.mpf(0)
+        for m in range(1, n + 1):
+            lo = (2 * m - 1) * mpmath.pi / n
+            hi = (2 * m + 1) * mpmath.pi / n
+            mean = mpmath.quad(
+                lambda g: mpmath.expj(xm * mpmath.cos(g)), mpmath.linspace(lo, hi, pieces + 1)
+            ) / (2 * mpmath.pi)
+            fc += mean.real ** 2
+            fs += mean.imag ** 2
+        return float(fc), float(fs)
+
+
 class TestPanelKernels:
     def test_identities_at_zero(self):
         for n in (1, 4, 8, 64):
@@ -114,6 +140,53 @@ class TestPanelKernels:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             f_c(1.0, 0)
+
+    @pytest.mark.parametrize("x,n", KERNEL_CASES)
+    def test_against_mpmath(self, x, n):
+        want_c, want_s = _mpmath_panel_kernels(x, n)
+        assert abs(f_c(x, n) - want_c) <= 1e-14
+        assert abs(f_s(x, n) - want_s) <= 1e-14
+
+    @pytest.mark.parametrize("x,n", KERNEL_CASES + [(0.0, 8), (5.0, 1024)])
+    def test_doubled_order_moves_no_panel_mean(self, x, n):
+        # The rule bounds the quadrature error of each mean by 1e-16.  Rounding
+        # comes on top in each of the two evaluations: a phase error of up to
+        # 12*pi*|x|*2^-53 per node (|g| <= 3*pi) plus a summation error of up
+        # to 2*order*2^-53, both on weights that sum to 1/n for one mean.
+        order = _panel_order(x, n)
+        means = _panel_means(np.array([x]), n, order)
+        doubled = _panel_means(np.array([x]), n, 2 * order)
+        rounding = 2 * (12 * math.pi * abs(x) + 4 * order) * 2.0 ** -53 / n
+        assert np.abs(doubled - means).max() <= 1e-16 + rounding
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 1024])
+    def test_order_nondecreasing_in_x(self, n):
+        orders = [_panel_order(x, n) for x in np.linspace(0.0, 200.0, 401)]
+        assert np.all(np.diff(orders) >= 0)
+        assert orders[-1] > orders[0]
+        assert f_c(-62.8, n) == f_c(62.8, n) and f_s(-62.8, n) == f_s(62.8, n)
+
+    def test_node_budget(self):
+        # n = 4e9 passes the scenario check (< 2**32) but not the kernel
+        # budget, which refuses before any per-panel array is built.
+        with pytest.raises(ValueError, match="node budget"):
+            f_c(1.0, 4_000_000_000)
+        with pytest.raises(ValueError, match="node budget"):
+            sim_acf_squared(from_k_gamma(0.0, 0.0), (0.0, 0.0), FD, 4_000_000_000, grid_fd_tau(3))
+        with pytest.raises(ValueError, match="node budget"):
+            f_s(1e6, 1)
+
+    def test_lag_blocks_stay_small(self):
+        # 20001 lags at n = 256: a (lags, n) complex array would be 82 MB.
+        x = np.linspace(0.0, 62.8, 20001)
+        tracemalloc.start()
+        try:
+            fc, fs = f_c(x, 256), f_s(x, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert fc[0] == pytest.approx(1 / 256, abs=1e-16) and fs[0] == 0.0
 
 
 class TestQuadratureAcf:
@@ -529,6 +602,16 @@ class TestEnvelopeCdfSimulator:
     def test_rejects_no_diffuse(self):
         with pytest.raises(ValueError, match="diffuse"):
             envelope_cdf_simulator(ChannelParams.from_components(1.0, 0.5, 0.0), 8, [1.0])
+
+    def test_tail_term_budget(self):
+        # Two tones and r <= 3 keep 117 ray nodes near N = 9000, so the tail's
+        # 4*(N+1) x 117 term array first passes _GL_MAX_NODES at N = 8962.
+        p = from_k_gamma(10.0, 0.5)
+        assert 4 * 8962 * 117 <= theory._GL_MAX_NODES < 4 * 8963 * 117
+        cdf = envelope_cdf_simulator(p, 8961, [3.0])
+        assert 0.99 < cdf[0] <= 1.0
+        with pytest.raises(ValueError, match="term budget"):
+            envelope_cdf_simulator(p, 8962, [3.0])
 
 
 class TestRayleighLcrOracle:
