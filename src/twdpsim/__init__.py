@@ -12,7 +12,6 @@ from .params import (
     InvalidScenarioError,
     ParameterError,
     ScenarioConfig,
-    SpecularSpec,
     ValidatedScenario,
     from_k_gamma,
     make_scenario,

@@ -13,25 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import estimators, fileio, harness, sos, theory
 from .params import (
-    DEFAULT_AOA1,
-    DEFAULT_AOA2,
     DEFAULT_DOPPLER_HZ,
-    DEFAULT_FD_TS,
-    DEFAULT_N_SAMPLES,
-    DEFAULT_N_SINUSOIDS,
-    DEFAULT_N_TRIALS,
-    DEFAULT_OMEGA,
     ChannelParams,
     ParameterError,
     ScenarioConfig,
-    from_k_gamma,
+    make_scenario,
     validate_scenario,
 )
 
@@ -53,18 +46,21 @@ _FLOAT_KEYS = {
     "fd_ts",
 }
 _INT_KEYS = {"n_sinusoids", "n_trials", "n_samples", "seed"}
-_SHAPE_KEYS = {"k", "gamma"}
-_COMPONENT_KEYS = {"v1", "v2", "diffuse_power"}
+_SHAPE_KEYS = ("k", "gamma", "omega")
+_COMPONENT_KEYS = ("v1", "v2", "diffuse_power")
+# Config keys named apart from the ScenarioConfig field they set.
+_RADIAN_KEYS = {"aoa1_rad": "aoa1", "aoa2_rad": "aoa2"}
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a flat "key = value" document into a scenario.
 
-    Unspecified fields take the common defaults (8 sinusoids, 500 trials,
-    f_D*T_s = 0.01, f_D = 1 kHz, unit power, Rayleigh parameters).  Channel
-    power may be given either as (k, gamma[, omega]) or as component powers
-    (v1, v2, diffuse_power); mixing the two families is ambiguous and
-    rejected, as are unknown keys.
+    Keys are :func:`~twdpsim.params.make_scenario` arguments, the angles
+    spelled ``aoa1_rad``/``aoa2_rad``, and unspecified ones take its defaults
+    (8 sinusoids, 500 trials, f_D*T_s = 0.01, f_D = 1 kHz, unit power,
+    Rayleigh parameters).  Channel power may be given either as
+    (k, gamma[, omega]) or as component powers (v1, v2, diffuse_power);
+    mixing the two families is ambiguous and rejected, as are unknown keys.
     """
     values: dict[str, float | int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -88,44 +84,25 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
-    shape_given = _SHAPE_KEYS & values.keys()
-    component_given = _COMPONENT_KEYS & values.keys()
-    if component_given and (shape_given or "omega" in values):
+    components_given = values.keys() & _COMPONENT_KEYS
+    if components_given and values.keys() & _SHAPE_KEYS:
         raise ConfigError(
             "ambiguous channel specification: give (k, gamma, omega) or "
             "(v1, v2, diffuse_power), not both"
         )
-    try:
-        if component_given:
-            params = ChannelParams.from_components(
-                values.get("v1", 0.0),
-                values.get("v2", 0.0),
-                values.get("diffuse_power", 0.0),
-            )
-        else:
-            params = from_k_gamma(
-                values.get("k", 0.0),
-                values.get("gamma", 0.0),
-                values.get("omega", DEFAULT_OMEGA),
-            )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from None
-
+    # make_scenario divides fd_ts by doppler_hz.
     doppler_hz = values.get("doppler_hz", DEFAULT_DOPPLER_HZ)
-    fd_ts = values.get("fd_ts", DEFAULT_FD_TS)
     if doppler_hz <= 0:
         raise ConfigError(f"doppler_hz must be > 0, got {doppler_hz}")
-    return ScenarioConfig(
-        params=params,
-        aoa1=values.get("aoa1_rad", DEFAULT_AOA1),
-        aoa2=values.get("aoa2_rad", DEFAULT_AOA2),
-        doppler_hz=doppler_hz,
-        sample_period_s=fd_ts / doppler_hz,
-        n_sinusoids=values.get("n_sinusoids", DEFAULT_N_SINUSOIDS),
-        n_trials=values.get("n_trials", DEFAULT_N_TRIALS),
-        n_samples=values.get("n_samples", DEFAULT_N_SAMPLES),
-        seed=values.get("seed", 0),
-    )
+    kwargs = {_RADIAN_KEYS.get(key, key): value for key, value in values.items()}
+    try:
+        if components_given:
+            kwargs["params"] = ChannelParams.from_components(
+                *(kwargs.pop(key, 0.0) for key in _COMPONENT_KEYS)
+            )
+        return make_scenario(**kwargs)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -138,20 +115,9 @@ def _load_scenario(args) -> ScenarioConfig:
 
 
 def _log_scenario(scn) -> None:
-    doc = {
-        "v1": scn.params.v1,
-        "v2": scn.params.v2,
-        "diffuse_power": scn.params.diffuse_power,
-        "omega": scn.params.omega,
-        "aoa1_rad": scn.aoa1,
-        "aoa2_rad": scn.aoa2,
-        "doppler_hz": scn.doppler_hz,
-        "sample_period_s": scn.sample_period_s,
-        "n_sinusoids": scn.n_sinusoids,
-        "n_trials": scn.n_trials,
-        "n_samples": scn.n_samples,
-        "seed": scn.seed,
-    }
+    logged_as = {field: key for key, field in _RADIAN_KEYS.items()}
+    doc = {logged_as.get(f.name, f.name): getattr(scn, f.name) for f in fields(ScenarioConfig)}
+    doc.update(vars(doc.pop("params")))
     print("resolved scenario: " + json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
@@ -341,7 +307,7 @@ def cli_dispatch(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

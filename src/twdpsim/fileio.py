@@ -72,17 +72,14 @@ def write_trace(trace: FadingTrace, sink) -> None:
     header = _HEADER.pack(
         TRACE_MAGIC,
         TRACE_VERSION,
-        scn.params.v1,
-        scn.params.v2,
-        scn.params.diffuse_power,
-        scn.params.omega,
+        *vars(scn.params).values(),
         scn.aoa1,
         scn.aoa2,
         scn.doppler_hz,
         scn.sample_period_s,
         scn.n_sinusoids,
         trace.trial_index,
-        trace.seed,
+        scn.seed,
         trace.samples.size,
     )
     payload = np.ascontiguousarray(trace.samples, dtype="<c16").tobytes()
@@ -108,10 +105,7 @@ def read_trace(source) -> FadingTrace:
     (
         magic,
         version,
-        v1,
-        v2,
-        diffuse_power,
-        omega,
+        *channel,
         aoa1,
         aoa2,
         doppler_hz,
@@ -141,27 +135,13 @@ def read_trace(source) -> FadingTrace:
     try:
         scenario = validate_scenario(
             ScenarioConfig(
-                params=ChannelParams(v1, v2, diffuse_power, omega),
-                aoa1=aoa1,
-                aoa2=aoa2,
-                doppler_hz=doppler_hz,
-                sample_period_s=sample_period_s,
-                n_sinusoids=n_sinusoids,
-                n_trials=1,
-                n_samples=n_samples,
-                seed=seed,
+                ChannelParams(*channel), aoa1, aoa2, doppler_hz, sample_period_s,
+                n_sinusoids, n_trials=1, n_samples=n_samples, seed=seed,
             )
         )
     except (ParameterError, InvalidScenarioError) as exc:
         raise TraceFormatError(f"invalid trace header: {exc}") from exc
-    return FadingTrace(
-        samples=samples,
-        sample_period_s=sample_period_s,
-        scenario_digest=scenario.digest(),
-        trial_index=trial_index,
-        seed=seed,
-        scenario=scenario,
-    )
+    return FadingTrace(samples, trial_index, scenario)
 
 
 def format_float(value: float) -> str:

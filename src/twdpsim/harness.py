@@ -7,16 +7,19 @@ records max-abs and RMS deviations against the oracle.  A failed tolerance is
 a report entry, never an exception; the overall verdict is the AND of all
 entries.
 
-Oracles:
-  reference_formula    closed forms of the ideal (Gaussian-diffuse) channel
-  simulator_formula    closed forms of the finite-N generator; for the envelope
-                       density, Kluyver's random-phasor-sum CDF
-  closed_form_oracle   Rayleigh crossing-rate law (diffuse-only channels)
-  self_consistency     a second, disjoint-seed ensemble; deviations are scored
-                       in combined standard-error units
+Oracles, and the statistics each one scores (``STATISTIC_ORACLES``):
+  reference_formula    correlations and the envelope density: closed forms of
+                       the ideal (Gaussian-diffuse) channel
+  simulator_formula    correlations and the envelope density: closed forms of
+                       the finite-N generator; for the density, Kluyver's
+                       random-phasor-sum CDF
+  closed_form_oracle   lcr: the Rayleigh crossing-rate law, so diffuse-only
+                       channels (v1 == 0) only
+  self_consistency     lcr: the scenario's ensemble against a second one at a
+                       disjoint seed, deviations in combined standard errors
 
-The envelope density is scored by sup-CDF distance and needs a CDF oracle, so
-it takes reference_formula or simulator_formula only.
+A scenario naming any other (statistic, oracle) pair is refused.  The
+envelope density is scored by sup-CDF distance against a CDF oracle.
 """
 
 from __future__ import annotations
@@ -45,8 +48,14 @@ ORACLES = (
     "self_consistency",
 )
 
-HARNESS_STATISTICS = ("rxx", "ryy", "rxy", "ryx", "rzz_re", "rzz_im", "rsq", "pdf", "lcr")
-PDF_ORACLES = ("reference_formula", "simulator_formula")
+# The oracles that can score each statistic.  Correlations and the envelope
+# density have closed forms for both channels; the only crossing-rate law is
+# the Rayleigh one, so TWDP crossing rates are checked seed against seed.
+_FORMULAS = ("reference_formula", "simulator_formula")
+STATISTIC_ORACLES = {
+    **dict.fromkeys(("rxx", "ryy", "rxy", "ryx", "rzz_re", "rzz_im", "rsq", "pdf"), _FORMULAS),
+    "lcr": ("closed_form_oracle", "self_consistency"),
+}
 
 ANCHOR_POLICY = (
     "ensemble average over trials and over anchor times every 10th sample, "
@@ -56,6 +65,7 @@ ANCHOR_POLICY = (
 # Correlation grids span fd*tau in [0, 10]; crossing-rate checks use a fixed
 # threshold ladder; oracle-based LCR checks use the three mid thresholds.
 CORRELATION_FD_TAU_MAX = 10.0
+MAX_GRID_LAGS = 2 ** 22
 LCR_THRESHOLDS = np.round(np.arange(0.1, 2.51, 0.1), 10)
 LCR_ORACLE_THRESHOLDS = np.array([0.5, 1.0, 2.0])
 PDF_BINS = 100
@@ -84,20 +94,22 @@ class ValidationScenario:
     def __post_init__(self):
         if not self.statistics:
             raise ValueError("statistics must be non-empty")
+        if self.oracle not in ORACLES:
+            raise ValueError(f"unknown oracle {self.oracle!r}")
         for stat in self.statistics:
-            if stat not in HARNESS_STATISTICS:
+            if stat not in STATISTIC_ORACLES:
                 raise ValueError(f"unknown statistic {stat!r}")
             if stat not in self.tolerances:
                 raise ValueError(f"no tolerance declared for {stat!r}")
-        if self.oracle not in ORACLES:
-            raise ValueError(f"unknown oracle {self.oracle!r}")
-        if "pdf" in self.statistics:
-            if self.oracle not in PDF_ORACLES:
+            if self.oracle not in STATISTIC_ORACLES[stat]:
                 raise ValueError(
-                    f"pdf needs a CDF oracle ({' or '.join(PDF_ORACLES)}), "
+                    f"{stat} is scored by {' or '.join(STATISTIC_ORACLES[stat])}, "
                     f"not {self.oracle!r}"
                 )
-            if self.oracle == "simulator_formula" and self.scenario.n_sinusoids < 3:
+        if self.oracle == "closed_form_oracle" and self.scenario.params.v1 != 0:
+            raise ValueError("closed_form_oracle is the Rayleigh law: it needs v1 == 0")
+        if "pdf" in self.statistics and self.oracle == "simulator_formula":
+            if self.scenario.n_sinusoids < 3:
                 raise ValueError("the finite-N envelope law needs n_sinusoids >= 3")
 
 
@@ -247,10 +259,21 @@ def derive_seed(master_seed: int, label: str) -> int:
 
 def default_correlation_grid(scenario, cap_to_trace: bool = True) -> LagGrid:
     """Sample-spaced lags over f_D*tau in [0, 10], kept inside the trace
-    unless ``cap_to_trace`` is false (closed forms need no trace)."""
-    n_lags = int(round(CORRELATION_FD_TAU_MAX / scenario.fd_ts)) + 1
+    unless ``cap_to_trace`` is false (closed forms need no trace).
+
+    A grid of more than ``MAX_GRID_LAGS`` lags is a ValueError.
+    """
+    # Past the budget 10/fd_ts is left uncomputed: it can overflow.
+    n_lags = MAX_GRID_LAGS + 1
+    if scenario.fd_ts * MAX_GRID_LAGS > CORRELATION_FD_TAU_MAX:
+        n_lags = int(round(CORRELATION_FD_TAU_MAX / scenario.fd_ts)) + 1
     if cap_to_trace:
         n_lags = min(n_lags, scenario.n_samples - 1)
+    if n_lags > MAX_GRID_LAGS:
+        raise ValueError(
+            f"f_D*T_s = {scenario.fd_ts:g} needs more than {MAX_GRID_LAGS} lags "
+            f"to span f_D*tau = {CORRELATION_FD_TAU_MAX:g}"
+        )
     return LagGrid.from_sample_lags(
         n_lags, scenario.sample_period_s, scenario.doppler_hz
     )
@@ -306,14 +329,15 @@ def _lcr_oracle_deviation(ensemble) -> Deviation:
     return Deviation(float(rel.max()), float(math.sqrt(np.mean(rel ** 2))))
 
 
-def _lcr_consistency_deviation(scenario, seed_a: int, seed_b: int) -> Deviation:
-    """Score two disjoint-seed LCR curves in combined standard-error units."""
+def _lcr_consistency_deviation(ensemble, seed_b: int) -> Deviation:
+    """Score the ensemble's LCR curve against a second one at ``seed_b``, in
+    combined standard-error units."""
     zscores = []
-    per_trial = []
-    for seed in (seed_a, seed_b):
-        scn = validate_scenario(replace(scenario, seed=seed))
-        ens = sos.generate_ensemble(scn)
-        per_trial.append(estimators.per_trial_crossing_rates(ens, LCR_THRESHOLDS))
+    scenario_b = replace(ensemble.scenario, seed=seed_b)
+    per_trial = [
+        estimators.per_trial_crossing_rates(ens, LCR_THRESHOLDS)
+        for ens in (ensemble, sos.generate_ensemble(scenario_b))
+    ]
     for j in range(LCR_THRESHOLDS.size):
         a, b = per_trial[0][:, j], per_trial[1][:, j]
         diff = abs(a.mean() - b.mean())
@@ -342,14 +366,10 @@ def run_validation(
     records = []
     for vs in scenarios:
         scenario_seed = derive_seed(seed, vs.name)
-        cfg = replace(vs.scenario, seed=scenario_seed)
-        scn = validate_scenario(cfg)
+        scn = validate_scenario(replace(vs.scenario, seed=scenario_seed))
         corr_stats = [s for s in vs.statistics if s not in ("pdf", "lcr")]
-        ensemble = None
-        if corr_stats or "pdf" in vs.statistics or (
-            "lcr" in vs.statistics and vs.oracle != "self_consistency"
-        ):
-            ensemble = sos.generate_ensemble(scn)
+        ensemble = None  # free the previous scenario's ensemble before synthesis
+        ensemble = sos.generate_ensemble(scn)
         grid = default_correlation_grid(scn) if corr_stats else None
         means = {}
         if corr_stats:
@@ -365,7 +385,7 @@ def run_validation(
             elif stat == "lcr":
                 if vs.oracle == "self_consistency":
                     dev = _lcr_consistency_deviation(
-                        cfg, scenario_seed, derive_seed(seed, vs.name + "/b")
+                        ensemble, derive_seed(seed, vs.name + "/b")
                     )
                 else:
                     dev = _lcr_oracle_deviation(ensemble)

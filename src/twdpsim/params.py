@@ -12,6 +12,12 @@ The common shape parameters are
 Rayleigh fading is k=0 and Rician fading is gamma=0.  Each tone arrives from
 angle ``aoa`` relative to the receiver track and accumulates phase at the
 constant rate ``-2*pi*f_D*cos(aoa)`` over the local stationarity interval.
+
+One experiment is one :class:`ScenarioConfig`: the channel, both arrival
+angles, f_D, T_s, the sinusoid count, trials, trace length and seed.
+:func:`validate_scenario` checks it and returns a :class:`ValidatedScenario`,
+the same nine fields with the angles wrapped; the tone phase rates, f_D*T_s
+and the trace digest are properties computed from those fields, never stored.
 """
 
 from __future__ import annotations
@@ -156,21 +162,12 @@ def to_k_gamma(p: ChannelParams) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class SpecularSpec:
-    """One specular tone: amplitude, arrival angle, and derived phase rate."""
-
-    amplitude: float
-    aoa: float
-    phase_rate: float
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation experiment.
 
     Not validated at construction; run it through :func:`validate_scenario`
-    to get a :class:`ValidatedScenario` with wrapped angles and derived tone
-    phase rates, or the full list of violated constraints.
+    to get a :class:`ValidatedScenario` with wrapped angles, or the full list
+    of violated constraints.
     """
 
     params: ChannelParams
@@ -185,20 +182,18 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class ValidatedScenario:
-    """Normalized scenario: angles wrapped to [-pi, pi), phase rates attached."""
+class ValidatedScenario(ScenarioConfig):
+    """A scenario that satisfies every constraint, angles wrapped to [-pi, pi).
 
-    params: ChannelParams
-    aoa1: float
-    aoa2: float
-    doppler_hz: float
-    sample_period_s: float
-    n_sinusoids: int
-    n_trials: int
-    n_samples: int
-    seed: int
-    spec1: SpecularSpec
-    spec2: SpecularSpec
+    Declares no fields of its own: everything else is derived from the
+    configuration.  Build one with :func:`validate_scenario`; construction and
+    ``dataclasses.replace`` re-check the constraints.
+    """
+
+    def __post_init__(self):
+        errors = scenario_violations(self)
+        if errors:
+            raise InvalidScenarioError(errors)
 
     @property
     def fd_ts(self) -> float:
@@ -206,7 +201,11 @@ class ValidatedScenario:
 
     @property
     def rates(self) -> tuple[float, float]:
-        return self.spec1.phase_rate, self.spec2.phase_rate
+        """Phase rates of the two tones, -2*pi*f_D*cos(aoa)."""
+        return (
+            phase_rate(self.aoa1, self.doppler_hz),
+            phase_rate(self.aoa2, self.doppler_hz),
+        )
 
     def digest(self) -> str:
         """Hex digest of the per-trace generation inputs.
@@ -218,10 +217,7 @@ class ValidatedScenario:
         """
         blob = struct.pack(
             "<8d2IQQ",
-            self.params.v1,
-            self.params.v2,
-            self.params.diffuse_power,
-            self.params.omega,
+            *vars(self.params).values(),
             self.aoa1,
             self.aoa2,
             self.doppler_hz,
@@ -266,30 +262,16 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
 def validate_scenario(cfg: ScenarioConfig) -> ValidatedScenario:
     """Normalize and validate a scenario.
 
-    Raises :class:`InvalidScenarioError` carrying every violated constraint;
-    otherwise returns the scenario with wrapped angles and the two tone
-    specs (amplitude, AoA, phase rate) attached.
+    Raises :class:`InvalidScenarioError` carrying every violated constraint,
+    in terms of the values given; otherwise returns the scenario with both
+    angles wrapped.  This is the one place angles are wrapped: ``wrap_angle``
+    can move an already wrapped angle by an ulp.
     """
     errors = scenario_violations(cfg)
     if errors:
         raise InvalidScenarioError(errors)
-    aoa1 = wrap_angle(cfg.aoa1)
-    aoa2 = wrap_angle(cfg.aoa2)
-    spec1 = SpecularSpec(cfg.params.v1, aoa1, phase_rate(aoa1, cfg.doppler_hz))
-    spec2 = SpecularSpec(cfg.params.v2, aoa2, phase_rate(aoa2, cfg.doppler_hz))
-    return ValidatedScenario(
-        params=cfg.params,
-        aoa1=aoa1,
-        aoa2=aoa2,
-        doppler_hz=cfg.doppler_hz,
-        sample_period_s=cfg.sample_period_s,
-        n_sinusoids=cfg.n_sinusoids,
-        n_trials=cfg.n_trials,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        spec1=spec1,
-        spec2=spec2,
-    )
+    wrapped = dict(vars(cfg), aoa1=wrap_angle(cfg.aoa1), aoa2=wrap_angle(cfg.aoa2))
+    return ValidatedScenario(**wrapped)
 
 
 def make_scenario(

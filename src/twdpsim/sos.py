@@ -25,7 +25,9 @@ direct sum, by about 1e-13 on unit-power traces.
 
 Randomness comes from one Philox substream per (seed, trial_index), so every
 trial is reproducible in isolation and ensembles are independent of execution
-order.
+order.  The tone phase rates are the scenario's ``rates``, and a
+``FadingTrace`` is its samples, trial index and scenario: sample period, seed
+and scenario digest are read off the scenario.
 """
 
 from __future__ import annotations
@@ -57,14 +59,26 @@ class DiffuseRealization:
 
 @dataclass(frozen=True, eq=False)
 class FadingTrace:
-    """One trial's complex lowpass sample sequence plus provenance."""
+    """One trial's complex lowpass samples, its trial index and its scenario.
+
+    Sample period, seed and scenario digest are read off the scenario.
+    """
 
     samples: np.ndarray
-    sample_period_s: float
-    scenario_digest: str
     trial_index: int
-    seed: int
     scenario: ValidatedScenario
+
+    @property
+    def sample_period_s(self) -> float:
+        return self.scenario.sample_period_s
+
+    @property
+    def seed(self) -> int:
+        return self.scenario.seed
+
+    @property
+    def scenario_digest(self) -> str:
+        return self.scenario.digest()
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,18 +95,8 @@ class TraceEnsemble:
     @property
     def traces(self) -> tuple[FadingTrace, ...]:
         """One FadingTrace per trial; each one's samples are a row view."""
-        scn = self.scenario
-        digest = scn.digest()
         return tuple(
-            FadingTrace(
-                samples=row,
-                sample_period_s=scn.sample_period_s,
-                scenario_digest=digest,
-                trial_index=i,
-                seed=scn.seed,
-                scenario=scn,
-            )
-            for i, row in enumerate(self.sample_matrix)
+            FadingTrace(row, i, self.scenario) for i, row in enumerate(self.sample_matrix)
         )
 
     @property
@@ -168,10 +172,7 @@ def generate_trace(scenario: ValidatedScenario, trial_index: int) -> FadingTrace
     amps /= math.sqrt(p.omega)
     phases = np.concatenate(([phi1, phi2], real.init_phases))
     rates = np.concatenate(
-        (
-            [scenario.spec1.phase_rate, scenario.spec2.phase_rate],
-            TWO_PI * scenario.doppler_hz * np.cos(real.aoas),
-        )
+        (scenario.rates, TWO_PI * scenario.doppler_hz * np.cos(real.aoas))
     )
     n = scenario.n_samples
     n_blocks = -(-n // BLOCK)
@@ -180,14 +181,7 @@ def generate_trace(scenario: ValidatedScenario, trial_index: int) -> FadingTrace
     head = amps * np.exp(1j * (phases + np.multiply.outer(t_head, rates)))
     tail = np.exp(1j * np.multiply.outer(rates, t_tail))
     z = (head @ tail).ravel()[:n]
-    return FadingTrace(
-        samples=z,
-        sample_period_s=scenario.sample_period_s,
-        scenario_digest=scenario.digest(),
-        trial_index=trial_index,
-        seed=scenario.seed,
-        scenario=scenario,
-    )
+    return FadingTrace(z, trial_index, scenario)
 
 
 def generate_ensemble(scenario: ValidatedScenario) -> TraceEnsemble:

@@ -10,7 +10,14 @@ from twdpsim import cli, harness
 from twdpsim.cli import ConfigError, cli_dispatch, parse_config
 from twdpsim.estimators import LagError
 from twdpsim.fileio import read_series_csv, read_trace
-from twdpsim.params import DEFAULT_AOA1, DEFAULT_AOA2, ScenarioConfig, validate_scenario
+from twdpsim.params import (
+    DEFAULT_AOA1,
+    DEFAULT_AOA2,
+    ChannelParams,
+    ScenarioConfig,
+    make_scenario,
+    validate_scenario,
+)
 from twdpsim.sos import envelope_bound
 
 
@@ -96,6 +103,48 @@ def test_parse_config_total(text):
     except ConfigError:
         return
     assert isinstance(cfg, ScenarioConfig)
+
+
+_SHAPE_FAMILY = ("k", "gamma", "omega")
+_COMPONENT_FAMILY = ("v1", "v2", "diffuse_power")
+
+
+def _config_values(family):
+    """Optional keys of one channel family plus the other scenario keys."""
+    floats = st.one_of(st.floats(0.0, 2.0), st.floats(allow_nan=False))
+    keys = sorted(cli._FLOAT_KEYS - {*_SHAPE_FAMILY, *_COMPONENT_FAMILY})
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            **{key: floats for key in keys + list(family)},
+            **{key: st.integers(-5, 2**70) for key in sorted(cli._INT_KEYS)},
+        },
+    )
+
+
+_CONFIG_VALUES = st.one_of(_config_values(_SHAPE_FAMILY), _config_values(_COMPONENT_FAMILY))
+
+
+def test_empty_document_is_make_scenario_defaults():
+    assert parse_config("") == make_scenario()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_CONFIG_VALUES)
+def test_parse_config_is_make_scenario(values):
+    # An accepted document is make_scenario of the same keys, the angles
+    # renamed and the component family passed in as params.
+    text = "".join(f"{key} = {value!r}\n" for key, value in values.items())
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    kwargs = {key.removesuffix("_rad"): value for key, value in values.items()}
+    if kwargs.keys() & _COMPONENT_FAMILY:
+        kwargs["params"] = ChannelParams.from_components(
+            *(kwargs.pop(key, 0.0) for key in _COMPONENT_FAMILY)
+        )
+    assert cfg == make_scenario(**kwargs)
 
 
 @pytest.fixture()
@@ -213,6 +262,30 @@ class TestCliDispatch:
         assert rows[0, 0] == 0.0 and rows[-1, 1] == bound
         widths = rows[:, 1] - rows[:, 0]
         assert np.sum(rows[:, 2] * widths) == pytest.approx(1.0, abs=1e-12)
+
+    def test_gen_into_an_existing_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli_dispatch(["gen", "--out", str(taken)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert cli_dispatch(["theory", "--kind", "rxx", "--config", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_output_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "acf.cfg"
+        cfg.write_text("n_trials = 2\nn_samples = 64\n")
+        argv = ["acf", "--kind", "rxx", "--config", str(cfg), "--out", str(tmp_path)]
+        assert cli_dispatch(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fd_ts", ["1e-9", "1e-310"])
+    def test_theory_grid_past_the_lag_budget_exits_2(self, tmp_path, fd_ts, capsys):
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text(f"fd_ts = {fd_ts}\n")
+        assert cli_dispatch(["theory", "--kind", "rxx", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_library_value_error_exits_2(self, rayleigh_cfg, capsys):
         assert cli_dispatch(["pdf", "--bins", "1", "--config", str(rayleigh_cfg)]) == 2

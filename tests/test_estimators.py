@@ -153,7 +153,7 @@ class TestEnsembleCorrelationStatistical:
         ens = generate_ensemble(scn)
         grid = LagGrid.from_sample_lags(1001, scn.sample_period_s, scn.doppler_hz)
         series = ensemble_correlation(ens, "rxx", grid)
-        want = 0.5 * np.cos(scn.spec1.phase_rate * grid.lags_s)
+        want = 0.5 * np.cos(scn.rates[0] * grid.lags_s)
         assert np.abs(series.values - want).max() <= 0.03
 
     def test_default_scenario_matches_formula(self, corr_ensembles_m500, corr_grid):

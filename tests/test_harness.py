@@ -6,8 +6,10 @@ import pytest
 
 from twdpsim import estimators, sos, theory
 from twdpsim.harness import (
+    LCR_THRESHOLDS,
     PDF_BINS,
     PDF_RANGE,
+    STATISTIC_ORACLES,
     Tolerance,
     ValidationScenario,
     builtin_scenarios,
@@ -138,6 +140,34 @@ class TestBuiltinScenarios:
                 "x", make_scenario(), ("pdf",), {"pdf": Tolerance(0.01, 0.01)}, oracle
             )
 
+    @pytest.mark.parametrize(
+        "stat, oracle",
+        [
+            ("lcr", "reference_formula"),
+            ("lcr", "simulator_formula"),
+            ("rxx", "self_consistency"),
+            ("rsq", "closed_form_oracle"),
+        ],
+    )
+    def test_unscorable_pairs_refused(self, stat, oracle):
+        with pytest.raises(ValueError, match=stat):
+            ValidationScenario(
+                "x", make_scenario(), (stat,), {stat: Tolerance(0.1, 0.1)}, oracle
+            )
+
+    def test_rayleigh_lcr_law_needs_a_diffuse_only_channel(self):
+        tol = {"lcr": Tolerance(0.1, 0.1)}
+        ValidationScenario("x", make_scenario(), ("lcr",), tol, "closed_form_oracle")
+        with pytest.raises(ValueError, match="v1 == 0"):
+            ValidationScenario(
+                "x", make_scenario(k=10.0, gamma=0.5), ("lcr",), tol, "closed_form_oracle"
+            )
+
+    def test_builtin_pairs_are_scorable(self):
+        for vs in builtin_scenarios():
+            for stat in vs.statistics:
+                assert vs.oracle in STATISTIC_ORACLES[stat]
+
     def test_finite_n_pdf_needs_three_sinusoids(self):
         cfg = make_scenario(n_sinusoids=2)
         tol = {"pdf": Tolerance(0.01, 0.01)}
@@ -174,6 +204,30 @@ class TestRunValidation:
         a = run_validation(scenarios, seed=5).to_json()
         b = run_validation(scenarios, seed=5).to_json()
         assert a.encode() == b.encode()
+
+    def test_self_consistency_lcr_scores_the_scenario_ensemble(self):
+        # The record compares the scenario's own ensemble with one at the
+        # "<name>/b" seed, per threshold in combined standard errors.
+        cfg = make_scenario(k=10.0, gamma=0.5, n_trials=20, n_samples=2001)
+        tol = {"lcr": Tolerance(4.0, 2.0)}
+        vs = ValidationScenario("lcr", cfg, ("lcr",), tol, "self_consistency")
+        (rec,) = run_validation([vs], seed=3).records
+        a, b = (
+            estimators.per_trial_crossing_rates(
+                sos.generate_ensemble(
+                    validate_scenario(replace(cfg, seed=derive_seed(3, label)))
+                ),
+                LCR_THRESHOLDS,
+            )
+            for label in ("lcr", "lcr/b")
+        )
+        diff = np.abs(a.mean(axis=0) - b.mean(axis=0))
+        se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+        assert np.all((se > 0) | (diff == 0))
+        z = np.divide(diff, se, out=np.zeros_like(diff), where=se > 0)
+        assert rec.seed == derive_seed(3, "lcr")
+        assert rec.max_abs_dev == pytest.approx(z.max(), rel=1e-12)
+        assert rec.rms_dev == pytest.approx(np.sqrt(np.mean(z**2)), rel=1e-12)
 
     def test_seed_changes_report(self):
         scenarios = [

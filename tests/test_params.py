@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from twdpsim.params import (
     ChannelParams,
     InvalidScenarioError,
     ParameterError,
+    ScenarioConfig,
+    ValidatedScenario,
     from_k_gamma,
     make_scenario,
     phase_rate,
@@ -135,9 +138,25 @@ class TestScenarioValidation:
 
     def test_phase_rates_attached(self):
         scn = validate_scenario(make_scenario(k=10.0, gamma=0.5))
-        assert scn.spec1.phase_rate == phase_rate(scn.aoa1, 1000.0)
-        assert scn.spec2.phase_rate == phase_rate(scn.aoa2, 1000.0)
-        assert scn.spec1.amplitude == scn.params.v1
+        assert scn.rates == (phase_rate(scn.aoa1, 1000.0), phase_rate(scn.aoa2, 1000.0))
+        assert scn.params.v1 == from_k_gamma(10.0, 0.5).v1
+
+    def test_declares_no_fields_of_its_own(self):
+        assert fields(ValidatedScenario) == fields(ScenarioConfig)
+        assert issubclass(ValidatedScenario, ScenarioConfig)
+
+    def test_replace_cannot_make_an_invalid_scenario(self):
+        scn = validate_scenario(make_scenario(k=10.0, gamma=0.5))
+        with pytest.raises(InvalidScenarioError, match="n_trials"):
+            replace(scn, n_trials=0)
+        with pytest.raises(InvalidScenarioError, match="doppler_sampling"):
+            replace(scn, sample_period_s=1.0)
+
+    def test_angles_wrapped_once(self):
+        cfg = make_scenario(aoa1=0.1, aoa2=7.0)
+        scn = validate_scenario(cfg)
+        assert (scn.aoa1, scn.aoa2) == (wrap_angle(0.1), wrap_angle(7.0))
+        assert replace(scn, seed=5).aoa1 == scn.aoa1
 
     def test_sampling_violation(self):
         cfg = make_scenario(fd_ts=0.6)

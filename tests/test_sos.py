@@ -27,9 +27,10 @@ def direct_trace(scn, trial_index):
     t = np.arange(scn.n_samples) * scn.sample_period_s
     phi1, phi2, real = draw_trial_randoms(scn.seed, trial_index, scn.n_sinusoids)
     p = scn.params
+    rate1, rate2 = scn.rates
     return (
-        specular_tone(p.v1, phi1, scn.spec1.phase_rate, t)
-        + specular_tone(p.v2, phi2, scn.spec2.phase_rate, t)
+        specular_tone(p.v1, phi1, rate1, t)
+        + specular_tone(p.v2, phi2, rate2, t)
         + diffuse_sample(real, p.diffuse_power, scn.doppler_hz, t)
     ) / math.sqrt(p.omega)
 
