@@ -10,10 +10,9 @@ so a single oracle column suffices.
 import numpy as np
 
 from twdpsim import (
-    ensemble_correlation,
+    correlation_means,
     generate_ensemble,
     make_scenario,
-    per_trial_correlation,
     ref_acf_complex,
     ref_acf_quadrature,
     ref_ccf_quadrature,
@@ -30,9 +29,7 @@ print(f"scenario: K=10, Gamma=0.5, f_D*T_s={scenario.fd_ts:g}, "
 ensemble = generate_ensemble(scenario)
 grid = LagGrid.from_sample_lags(1001, scenario.sample_period_s, scenario.doppler_hz)
 
-rxx = ensemble_correlation(ensemble, "rxx", grid)
-rxy = ensemble_correlation(ensemble, "rxy", grid)
-rzz = per_trial_correlation(ensemble, "rzz", grid).mean(axis=0)
+rxx, rxy, rzz = correlation_means(ensemble, ("rxx", "rxy", "rzz"), grid).values()
 
 p, rates, fd = scenario.params, scenario.rates, scenario.doppler_hz
 oracle_rxx = ref_acf_quadrature(p, rates, fd, grid)
@@ -42,13 +39,13 @@ oracle_re, oracle_im = ref_acf_complex(p, rates, fd, grid)
 print(f"\n{'fd*tau':>7} {'Rxx est':>9} {'Rxx th':>9} {'Rxy est':>9} {'Rxy th':>9} "
       f"{'ReRzz est':>10} {'ReRzz th':>10}")
 for i in range(0, 1001, 100):
-    print(f"{grid.fd_tau[i]:7.2f} {rxx.values[i]:9.4f} {oracle_rxx.values[i]:9.4f} "
-          f"{rxy.values[i]:9.4f} {oracle_rxy.values[i]:9.4f} "
+    print(f"{grid.fd_tau[i]:7.2f} {rxx[i]:9.4f} {oracle_rxx.values[i]:9.4f} "
+          f"{rxy[i]:9.4f} {oracle_rxy.values[i]:9.4f} "
           f"{rzz.real[i]:10.4f} {oracle_re.values[i]:10.4f}")
 
 for name, est, th in (
-    ("Rxx", rxx.values, oracle_rxx.values),
-    ("Rxy", rxy.values, oracle_rxy.values),
+    ("Rxx", rxx, oracle_rxx.values),
+    ("Rxy", rxy, oracle_rxy.values),
     ("Re Rzz", rzz.real, oracle_re.values),
     ("Im Rzz", rzz.imag, oracle_im.values),
 ):

@@ -52,6 +52,7 @@ from .theory import (
 from .estimators import (
     HistogramDensity,
     LcrCurve,
+    correlation_means,
     ensemble_correlation,
     ensemble_mean,
     envelope_pdf,

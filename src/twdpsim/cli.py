@@ -74,13 +74,13 @@ def parse_config(text: str) -> ScenarioConfig:
         raw_value = raw_value.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        if key not in _FLOAT_KEYS and key not in _INT_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             if key in _FLOAT_KEYS:
                 values[key] = float(raw_value)
-            elif key in _INT_KEYS:
-                values[key] = int(raw_value)
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                values[key] = int(raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
@@ -167,7 +167,7 @@ def _cmd_acf(args) -> int:
     ens = sos.generate_ensemble(scn)
     oracle = _oracle_values(args.kind, scn, grid, "simulator_formula")
     if args.kind == "rzz":
-        mean = estimators.per_trial_correlation(ens, "rzz", grid).mean(axis=0)
+        mean = estimators.correlation_means(ens, ("rzz",), grid)["rzz"]
         columns = ["lag_s", "fd_tau", "value_re", "value_im", "oracle_re", "oracle_im"]
         values = [mean.real, mean.imag]
     else:

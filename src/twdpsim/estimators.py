@@ -8,7 +8,14 @@ verifies; per-trial values remain available for standard-error estimates.
 
 The product sums are computed as FFT cross-correlations of anchor-masked
 traces, which is exact (no windowing approximations) and returns every lag at
-once.
+once.  The FFT length is next_fast_len(last_anchor + max_lag + 1): no sum
+reads past that sample, so the circular correlation cannot wrap.  Anchors
+must be non-negative, strictly increasing integers.
+
+``correlation_means`` returns trial means only.  It sums spectra over trials
+and takes one inverse transform per lag-product family: P, Q (from which every
+quadrature kind and rzz follow) and the |z|^2 family.  ``per_trial_correlations``
+keeps one row per trial, at one inverse transform per trial and family.
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ from .theory import CorrelationSeries, LagGrid
 
 DEFAULT_ANCHOR_STRIDE = 10
 _FFT_TRIAL_CHUNK = 256
+# correlation_means keeps no per-trial rows, so its chunks can be small.  Its
+# freed workspace stays on the heap when it is smaller than glibc's trim
+# threshold, and so adds to every later peak: the builtin suite's peak RSS
+# rose about 1 MB at 4 trials per chunk, 5 MB at 16 and up to 35 MB at 128,
+# against the per-trial path.  Chunks of 4 to 16 trials ran fastest.
+_MEANS_TRIAL_CHUNK = 4
 
 # Per kind: the sequences (a, b) of z = x + jy whose products
 # conj(a[t]) b[t+l] it sums, and the part of the sum it reports (None: all).
@@ -46,6 +59,18 @@ _LAG_PRODUCTS = {
     "rsq": ("|z|^2", "|z|^2", None),
 }
 ESTIMATOR_KINDS = tuple(_LAG_PRODUCTS)
+# Every kind but rsq from P(l) = sum conj(z[t]) z[t+l] and Q(l) = sum z[t]
+# z[t+l], summed over anchors t.  With x = Re z, y = Im z and primes at t+l,
+# P + Q = 2(x x' + j x y') and P - Q = 2(y y' - j y x').
+_PQ_PARTS = {
+    "rxx": lambda p, q: (p + q).real / 2,
+    "ryy": lambda p, q: (p - q).real / 2,
+    "rxy": lambda p, q: (p + q).imag / 2,
+    "ryx": lambda p, q: (q - p).imag / 2,
+    "rzz": lambda p, q: p.conj(),
+    "rzz_re": lambda p, q: p.real,
+    "rzz_im": lambda p, q: -p.imag,
+}
 
 
 class LagError(ValueError):
@@ -100,8 +125,46 @@ def default_anchors(
     return np.arange(0, stop, stride)
 
 
+def _checked_anchors(anchors, n_samples: int, max_lag: int) -> np.ndarray:
+    """The default anchors, or ``anchors`` once they are known to be
+    non-negative, strictly increasing integers clear of the final max-lag
+    window.  A repeated anchor would be counted once by the mask but twice by
+    the division, and a negative one would mark a sample from the end."""
+    if anchors is None:
+        return default_anchors(n_samples, max_lag)
+    anchors = np.asarray(anchors)
+    if anchors.size == 0:
+        raise LagError("anchor set is empty")
+    if anchors.ndim != 1 or not np.issubdtype(anchors.dtype, np.integer):
+        raise LagError("anchors must be a 1-D sequence of integers")
+    if anchors[0] < 0 or np.any(np.diff(anchors) <= 0):
+        raise LagError("anchors must be non-negative and strictly increasing")
+    if anchors[-1] + max_lag >= n_samples:
+        raise LagError("anchor set overlaps the final max-lag window")
+    return anchors
+
+
+def _correlation_setup(ens: TraceEnsemble, kinds, grid: LagGrid, anchors):
+    """Checked kinds, lags and anchors; the trace prefix the sums read, the
+    anchor mask over it, and the FFT length.
+
+    No sum reads past sample last_anchor + max_lag, so a circular correlation
+    of length next_fast_len(last_anchor + max_lag + 1) cannot wrap.
+    """
+    unknown = [kind for kind in kinds if kind not in ESTIMATOR_KINDS]
+    if unknown:
+        raise ValueError(f"unknown estimator kind {unknown[0]!r}")
+    scn = ens.scenario
+    lags = lag_samples(grid, scn.sample_period_s, scn.n_samples)
+    anchors = _checked_anchors(anchors, scn.n_samples, int(lags[-1]))
+    span = int(anchors[-1] + lags[-1]) + 1
+    mask = np.zeros(span)
+    mask[anchors] = 1.0
+    return lags, anchors, ens.sample_matrix[:, :span], mask, sp_fft.next_fast_len(span)
+
+
 def _masked_crosscorr(
-    z: np.ndarray, left, right, mask: np.ndarray, lags: np.ndarray
+    z: np.ndarray, left, right, mask: np.ndarray, lags: np.ndarray, nfft: int
 ) -> np.ndarray:
     """Per-trial sums over t of conj(a[t])*mask[t]*b[t+l] for l in lags.
 
@@ -109,8 +172,6 @@ def _masked_crosscorr(
     through rfft/irfft, complex ones through fft/ifft with half as many trials
     per chunk, so the FFT workspace keeps its size.
     """
-    n = z.shape[1]
-    nfft = sp_fft.next_fast_len(n + int(lags[-1]) + 1)
     empty = left(z[:0])
     if np.iscomplexobj(empty):
         forward, inverse, chunk = sp_fft.fft, sp_fft.ifft, _FFT_TRIAL_CHUNK // 2
@@ -141,22 +202,9 @@ def per_trial_correlations(
     pair (rzz, rzz_re and rzz_im all use (z, z)) share one FFT correlation;
     each kind's part and the division by the anchor count are applied to the
     raw products, so every array equals its :func:`per_trial_correlation`.
+    For trial means alone, :func:`correlation_means` is cheaper.
     """
-    unknown = [kind for kind in kinds if kind not in ESTIMATOR_KINDS]
-    if unknown:
-        raise ValueError(f"unknown estimator kind {unknown[0]!r}")
-    scn = ens.scenario
-    lags = lag_samples(grid, scn.sample_period_s, scn.n_samples)
-    if anchors is None:
-        anchors = default_anchors(scn.n_samples, int(lags[-1]))
-    anchors = np.asarray(anchors, dtype=int)
-    if anchors.size == 0:
-        raise LagError("anchor set is empty")
-    if anchors[-1] + lags[-1] >= scn.n_samples:
-        raise LagError("anchor set overlaps the final max-lag window")
-
-    mask = np.zeros(scn.n_samples)
-    mask[anchors] = 1.0
+    lags, anchors, z, mask, nfft = _correlation_setup(ens, kinds, grid, anchors)
     # Peak RSS hangs on allocation order: the largest FFT workspace goes
     # first, before any result is held, and the raw products are released
     # before the division.  Other orders left 6-30 MB more peak RSS in the
@@ -167,7 +215,7 @@ def per_trial_correlations(
     )
     raw = {
         (left, right): _masked_crosscorr(
-            ens.sample_matrix, _SEQUENCES[left], _SEQUENCES[right], mask, lags
+            z, _SEQUENCES[left], _SEQUENCES[right], mask, lags, nfft
         )
         for left, right in pairs
     }
@@ -194,6 +242,61 @@ def per_trial_correlation(
     return per_trial_correlations(ens, (kind,), grid, anchors)[kind]
 
 
+def correlation_means(
+    ens: TraceEnsemble,
+    kinds: list[str] | tuple[str, ...],
+    grid: LagGrid,
+    anchors: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Trial means of the anchor-averaged lag products, {kind: (n_lags,) array}.
+
+    Each equals ``per_trial_correlations(...)[kind].mean(axis=0)`` up to
+    round-off.  The FFT is linear, so the trial sum is taken over spectra and
+    each lag-product family gets one inverse transform in all, not one per
+    trial.  With Fm = F(mask*z) and Fz = F(z) per trial, the sums are
+
+        S_P = sum conj(Fm[k]) Fz[k],    P = F^-1(S_P) = sum conj(z[t]) z[t+l]
+        S_Q = sum Fm[-k] Fz[k],         Q = F^-1(S_Q) = sum z[t] z[t+l]
+
+    (anchor sums over t), and every quadrature kind and rzz is a fixed
+    combination of P and Q (``_PQ_PARTS``).  rsq sums the same spectrum of
+    s = |z|^2 on the real transform.
+    """
+    lags, anchors, z, mask, nfft = _correlation_setup(ens, kinds, grid, anchors)
+    s_p = np.zeros(nfft, dtype=complex)
+    s_q = np.zeros(nfft, dtype=complex)
+    s_sq = np.zeros(nfft // 2 + 1, dtype=complex)
+    pq = any(kind in _PQ_PARTS for kind in kinds)
+    for start in range(0, z.shape[0], _MEANS_TRIAL_CHUNK):
+        chunk = z[start : start + _MEANS_TRIAL_CHUNK]
+        if pq:
+            fm = sp_fft.fft(chunk * mask, nfft, axis=1)
+            fz = sp_fft.fft(chunk, nfft, axis=1)
+            # Fm[-k] is Fm[0] at k = 0 and Fm[nfft - k] above it.
+            s_q[0] += fm[:, 0] @ fz[:, 0]
+            s_q[1:] += (fm[:, :0:-1] * fz[:, 1:]).sum(axis=0)
+            np.conjugate(fm, out=fm)
+            fm *= fz
+            s_p += fm.sum(axis=0)
+        if "rsq" in kinds:
+            sq = _SEQUENCES["|z|^2"](chunk)
+            fm = sp_fft.rfft(sq * mask, nfft, axis=1)
+            fz = sp_fft.rfft(sq, nfft, axis=1)
+            np.conjugate(fm, out=fm)
+            fm *= fz
+            s_sq += fm.sum(axis=0)
+    count = z.shape[0] * anchors.size
+    p = sp_fft.ifft(s_p)[lags] / count
+    q = sp_fft.ifft(s_q)[lags] / count
+    means = {}
+    for kind in kinds:
+        if kind == "rsq":
+            means[kind] = sp_fft.irfft(s_sq, nfft)[lags] / count
+        else:
+            means[kind] = _PQ_PARTS[kind](p, q)
+    return means
+
+
 def ensemble_correlation(
     ens: TraceEnsemble,
     kind: str,
@@ -203,8 +306,7 @@ def ensemble_correlation(
     """Ensemble-and-anchor averaged correlation as a CorrelationSeries."""
     if kind == "rzz":
         raise ValueError("request rzz_re or rzz_im for series output")
-    per_trial = per_trial_correlation(ens, kind, grid, anchors)
-    values = per_trial.mean(axis=0)
+    values = correlation_means(ens, (kind,), grid, anchors)[kind]
     return CorrelationSeries(kind, "empirical", grid, values, n_trials=ens.n_trials)
 
 

@@ -3,9 +3,11 @@
 Each scenario names a channel configuration, the statistics to check, the
 oracle family to check them against, and fixed numeric tolerances.  Running a
 scenario generates its ensemble, estimates every requested statistic, and
-records max-abs and RMS deviations against the oracle.  A failed tolerance is
-a report entry, never an exception; the overall verdict is the AND of all
-entries.
+records max-abs and RMS deviations against the oracle.  The correlation
+statistics of a scenario come from one ``estimators.correlation_means`` call,
+so the harness holds their trial means only, never per-trial values.  A
+failed tolerance is a report entry, never an exception; the overall verdict
+is the AND of all entries.
 
 Oracles, and the statistics each one scores (``STATISTIC_ORACLES``):
   reference_formula    correlations and the envelope density: closed forms of
@@ -373,12 +375,7 @@ def run_validation(
         grid = default_correlation_grid(scn) if corr_stats else None
         means = {}
         if corr_stats:
-            # One FFT correlation per sequence pair (rzz_re and rzz_im share
-            # (z, z)).  The per-trial arrays go at once: held across the next
-            # scenario's synthesis they fragmented the heap, +30 MB peak RSS.
-            per_trial = estimators.per_trial_correlations(ensemble, corr_stats, grid)
-            means = {kind: values.mean(axis=0) for kind, values in per_trial.items()}
-            del per_trial
+            means = estimators.correlation_means(ensemble, corr_stats, grid)
         for stat in vs.statistics:
             if stat == "pdf":
                 dev = _pdf_deviation(ensemble, vs.oracle)

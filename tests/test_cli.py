@@ -57,6 +57,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("dopplerr_hz = 100\n")
 
+    def test_unknown_key_message_is_not_wrapped(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("nope = 1")
+        assert str(info.value) == "line 1: unknown key 'nope'"
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("k = 1\nk = 2\n")

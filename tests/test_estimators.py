@@ -1,13 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import synthetic_ensemble
+from scipy import fft as sp_fft
 
 from twdpsim import estimators
 from twdpsim.estimators import (
     ESTIMATOR_KINDS,
     LagError,
+    correlation_means,
     default_anchors,
     ensemble_correlation,
     ensemble_mean,
@@ -99,25 +102,125 @@ _DEFINITIONS = {
 }
 
 
-@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
-def test_per_trial_correlation_matches_definition(kind):
-    scn = synth_scenario(3, 200)
-    rng = np.random.default_rng(17)
-    z = rng.standard_normal((3, 200)) + 1j * rng.standard_normal((3, 200))
-    grid = small_grid(scn, 31)
-    anchors = np.array([0, 3, 4, 50, 101, 168])
-    got = per_trial_correlation(synthetic_ensemble(z, scn), kind, grid, anchors)
+def _definition(kind, z, anchors, n_lags):
+    """Per-trial anchor sums of each kind's lag product, straight from the
+    definition, divided by the anchor count."""
     a, b = _DEFINITIONS[kind](z)
     want = np.array(
-        [[sum(a[m, t] * b[m, t + lag] for t in anchors) / anchors.size for lag in range(31)]
-         for m in range(3)]
+        [[sum(a[m, t] * b[m, t + lag] for t in anchors) / len(anchors)
+          for lag in range(n_lags)]
+         for m in range(z.shape[0])]
     )
     if kind == "rzz_re":
-        want = want.real
-    elif kind == "rzz_im":
-        want = want.imag
+        return want.real
+    if kind == "rzz_im":
+        return want.imag
+    return want
+
+
+def _random_ensemble(n_trials, n_samples, seed):
+    scn = synth_scenario(n_trials, n_samples)
+    rng = np.random.default_rng(seed)
+    shape = (n_trials, n_samples)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return synthetic_ensemble(z, scn), z
+
+
+_CUSTOM_ANCHORS = np.array([0, 3, 4, 50, 101, 168])
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_per_trial_correlation_matches_definition(kind):
+    ens, z = _random_ensemble(3, 200, 17)
+    grid = small_grid(ens.scenario, 31)
+    got = per_trial_correlation(ens, kind, grid, _CUSTOM_ANCHORS)
+    want = _definition(kind, z, _CUSTOM_ANCHORS, 31)
     assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("custom", [True, False], ids=["custom-anchors", "default-anchors"])
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_correlation_means_matches_definition(kind, custom):
+    ens, z = _random_ensemble(3, 200, 19)
+    grid = small_grid(ens.scenario, 31)
+    anchors = _CUSTOM_ANCHORS if custom else None
+    got = correlation_means(ens, (kind,), grid, anchors)[kind]
+    if anchors is None:
+        anchors = default_anchors(200, 30)
+    want = _definition(kind, z, anchors, 31).mean(axis=0)
+    assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("anchors", [None, _CUSTOM_ANCHORS], ids=["default", "custom"])
+def test_correlation_means_equal_per_trial_means(anchors):
+    ens, _ = _random_ensemble(7, 300, 29)
+    grid = small_grid(ens.scenario, 41)
+    means = correlation_means(ens, ESTIMATOR_KINDS, grid, anchors)
+    per_trial = per_trial_correlations(ens, ESTIMATOR_KINDS, grid, anchors)
+    for kind in ESTIMATOR_KINDS:
+        assert means[kind].dtype == per_trial[kind].dtype
+        assert np.abs(means[kind] - per_trial[kind].mean(axis=0)).max() <= 1e-14
+
+
+def test_correlation_means_keep_kind_order_and_refuse_unknown_kinds():
+    ens, _ = _random_ensemble(2, 120, 31)
+    grid = small_grid(ens.scenario, 11)
+    kinds = ("rsq", "ryx", "rzz_im", "rxx")
+    assert list(correlation_means(ens, kinds, grid)) == list(kinds)
+    with pytest.raises(ValueError, match="bogus"):
+        correlation_means(ens, ("rxx", "bogus"), grid)
+
+
+def test_correlation_means_fft_budget(monkeypatch):
+    # The five harness statistics cost four forward transforms per trial (two
+    # complex, two real) and three inverse transforms in all.
+    ens, _ = _random_ensemble(150, 200, 43)
+    grid = small_grid(ens.scenario, 31)
+    rows = {}
+
+    def counted(name):
+        transform = getattr(sp_fft, name)
+
+        def call(x, *args, **kwargs):
+            rows[name] = rows.get(name, 0) + (x.shape[0] if x.ndim == 2 else 1)
+            return transform(x, *args, **kwargs)
+
+        return call
+
+    counting = SimpleNamespace(next_fast_len=sp_fft.next_fast_len)
+    for name in ("fft", "rfft", "ifft", "irfft"):
+        setattr(counting, name, counted(name))
+    monkeypatch.setattr(estimators, "sp_fft", counting)
+    correlation_means(ens, ("rxx", "rxy", "rzz_re", "rzz_im", "rsq"), grid)
+    assert rows == {"fft": 2 * 150, "rfft": 2 * 150, "ifft": 2, "irfft": 1}
+
+
+@pytest.mark.parametrize(
+    "anchors, message",
+    [
+        ([0, 0, 10], "strictly increasing"),  # repeated: masked once, counted twice
+        ([-5, 0], "non-negative"),  # would mark sample n - 5
+        ([20, 0, 10], "strictly increasing"),  # last anchor is not the largest
+        ([0.0, 10.0], "integers"),
+        ([], "empty"),
+    ],
+)
+@pytest.mark.parametrize("estimator", [per_trial_correlations, correlation_means])
+def test_bad_anchor_sets_rejected(estimator, anchors, message):
+    ens, _ = _random_ensemble(2, 200, 37)
+    grid = small_grid(ens.scenario, 31)
+    with pytest.raises(LagError, match=message):
+        estimator(ens, ("rxx",), grid, anchors)
+
+
+def test_anchors_must_clear_the_max_lag_window():
+    ens, _ = _random_ensemble(2, 200, 41)
+    grid = small_grid(ens.scenario, 31)
+    correlation_means(ens, ("rxx",), grid, [0, 169])
+    with pytest.raises(LagError, match="overlaps"):
+        correlation_means(ens, ("rxx",), grid, [0, 170])
 
 
 def test_per_trial_correlations_bundle_is_bit_identical(monkeypatch):

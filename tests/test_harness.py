@@ -229,6 +229,27 @@ class TestRunValidation:
         assert rec.max_abs_dev == pytest.approx(z.max(), rel=1e-12)
         assert rec.rms_dev == pytest.approx(np.sqrt(np.mean(z**2)), rel=1e-12)
 
+    def test_one_correlation_means_call_per_correlation_scenario(self, monkeypatch):
+        # The harness keeps trial means only: one correlation_means call per
+        # scenario with correlation statistics, none for pdf or lcr scenarios,
+        # and no per-trial correlation arrays.
+        scenarios = [
+            replace(vs, scenario=replace(vs.scenario, n_trials=2))
+            for vs in builtin_scenarios()
+            if "pdf" not in vs.statistics
+        ]
+        calls = []
+        original = estimators.correlation_means
+        monkeypatch.setattr(
+            estimators,
+            "correlation_means",
+            lambda ens, kinds, grid: calls.append(tuple(kinds)) or original(ens, kinds, grid),
+        )
+        monkeypatch.setattr(estimators, "per_trial_correlations", None)
+        run_validation(scenarios, seed=5)
+        expected = [vs.statistics for vs in scenarios if "lcr" not in vs.statistics]
+        assert len(expected) == 4 and calls == expected
+
     def test_seed_changes_report(self):
         scenarios = [
             replace(vs, scenario=replace(vs.scenario, n_trials=1))
