@@ -6,11 +6,19 @@ default, keeping every anchor clear of the final max-lag window).  The anchor
 averaging is a variance reducer justified by the stationarity the suite also
 verifies; per-trial values remain available for standard-error estimates.
 
-The product sums are computed as FFT cross-correlations of anchor-masked
-traces, which is exact (no windowing approximations) and returns every lag at
-once.  The FFT length is next_fast_len(last_anchor + max_lag + 1): no sum
-reads past that sample, so the circular correlation cannot wrap.  Anchors
-must be non-negative, strictly increasing integers.
+The product sums are computed as FFT cross-correlations, which is exact (no
+windowing approximations) and returns every lag at once.  Anchors must be
+non-negative, strictly increasing integers; written as start + step*i, with
+step the gcd of their gaps (1 for a single anchor), they mark a decimated grid
+of n_d = (last - start) // step + 1 points.  Lag l = step*j + q then reads
+phase q of the trace, the samples start + step*r + q, so each lag-product sum
+is lag j of a short correlation of the anchor samples with one phase
+(polyphase decomposition; Vaidyanathan, *Multirate Systems and Filter Banks*,
+1993).  The anchor samples are transformed once at length
+m = next_fast_len(n_d + max_lag // step, real=True) and the trace as step
+phases of that length in one call: no sum reads row n_d + max_lag // step or
+past it, so no circular correlation wraps.  At 6001 samples with the default
+anchors and 1001 lags that is step = 10 and m = 625.
 
 ``correlation_means`` returns trial means only.  It sums spectra over trials
 and takes one inverse transform per lag-product family: P, Q (from which every
@@ -30,18 +38,23 @@ from .sos import TraceEnsemble
 from .theory import CorrelationSeries, LagGrid
 
 DEFAULT_ANCHOR_STRIDE = 10
-_FFT_TRIAL_CHUNK = 256
+# Trials per chunk of the per-trial path (half as many for complex pairs).
+# One kind at 500x6001 (best of 5, 2-vCPU Xeon) took 0.039 s (rxx) and
+# 0.052 s (rsq) at 16, 0.043/0.058 s at 32, 0.044/0.067 s at 64 and
+# 0.052/0.071 s at 128; the analysis benchmark's peak RSS read 171.6, 172.2
+# and 177.0 MB at 16, 32 and 64.
+_FFT_TRIAL_CHUNK = 16
 # correlation_means keeps no per-trial rows, so its chunks can be small.  Its
 # freed workspace stays on the heap when it is smaller than glibc's trim
-# threshold, and so adds to every later peak: the builtin suite's peak RSS
-# rose about 1 MB at 4 trials per chunk, 5 MB at 16 and up to 35 MB at 128,
-# against the per-trial path.  Chunks of 4 to 16 trials ran fastest.
-_MEANS_TRIAL_CHUNK = 4
+# threshold, and so adds to every later peak: the validate benchmark's peak
+# RSS read 132.3, 133.0 and 136.6 MB at 4, 8 and 16 trials per chunk.  The
+# five harness statistics at 500x6001 took 0.080, 0.076, 0.074 and 0.085 s
+# at 4, 8, 16 and 32 (best of 7).
+_MEANS_TRIAL_CHUNK = 8
 
 # Per kind: the sequences (a, b) of z = x + jy whose products
 # conj(a[t]) b[t+l] it sums, and the part of the sum it reports (None: all).
-# rzz, z(t) conj(z(t+l)), is the conjugate of the (z, z) sum.  Sequences are
-# listed by falling FFT workspace (complex, then real with squares, then real).
+# rzz, z(t) conj(z(t+l)), is the conjugate of the (z, z) sum.
 _SEQUENCES = {
     "z": lambda z: z,
     "|z|^2": lambda z: z.real * z.real + z.imag * z.imag,
@@ -126,10 +139,11 @@ def default_anchors(
 
 
 def _checked_anchors(anchors, n_samples: int, max_lag: int) -> np.ndarray:
-    """The default anchors, or ``anchors`` once they are known to be
+    """The default anchors, or ``anchors`` as int64 once they are known to be
     non-negative, strictly increasing integers clear of the final max-lag
     window.  A repeated anchor would be counted once by the mask but twice by
-    the division, and a negative one would mark a sample from the end."""
+    the division, and a negative one would mark a sample from the end.  The
+    order is checked without subtraction, which wraps on unsigned dtypes."""
     if anchors is None:
         return default_anchors(n_samples, max_lag)
     anchors = np.asarray(anchors)
@@ -137,36 +151,61 @@ def _checked_anchors(anchors, n_samples: int, max_lag: int) -> np.ndarray:
         raise LagError("anchor set is empty")
     if anchors.ndim != 1 or not np.issubdtype(anchors.dtype, np.integer):
         raise LagError("anchors must be a 1-D sequence of integers")
-    if anchors[0] < 0 or np.any(np.diff(anchors) <= 0):
+    if anchors[0] < 0 or np.any(anchors[1:] <= anchors[:-1]):
         raise LagError("anchors must be non-negative and strictly increasing")
-    if anchors[-1] + max_lag >= n_samples:
+    if int(anchors[-1]) + max_lag >= n_samples:
         raise LagError("anchor set overlaps the final max-lag window")
-    return anchors
+    return anchors.astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class _Polyphase:
+    """The anchors as start + step*i for i < mask.size, marked by ``mask``;
+    the sums read ``span`` samples from ``start``, and every transform has
+    length ``m``.  Lag step*j + q is row j of phase q, so an inverse transform
+    of (trials, m, step) phases reshaped to (trials, m*step) is in lag order.
+    """
+
+    start: int
+    step: int
+    mask: np.ndarray
+    span: int
+    m: int
+
+    def operands(self, z: np.ndarray, left, right):
+        """d = mask*left(z) on the anchor grid, and right(z) from ``start`` as
+        (trials, m, step) phases, zero past the samples the sums read."""
+        d = left(z[:, self.start :: self.step][:, : self.mask.size]) * self.mask
+        b = right(z[:, self.start : self.start + self.span])
+        phases = np.zeros((z.shape[0], self.m * self.step), dtype=b.dtype)
+        phases[:, : self.span] = b
+        return d, phases.reshape(z.shape[0], self.m, self.step)
 
 
 def _correlation_setup(ens: TraceEnsemble, kinds, grid: LagGrid, anchors):
-    """Checked kinds, lags and anchors; the trace prefix the sums read, the
-    anchor mask over it, and the FFT length.
+    """Checked kinds, lags and anchors, and the polyphase layout of the sums.
 
-    No sum reads past sample last_anchor + max_lag, so a circular correlation
-    of length next_fast_len(last_anchor + max_lag + 1) cannot wrap.
+    Since step*(max_lag // step + 1) > max_lag, m*step >= span.
     """
     unknown = [kind for kind in kinds if kind not in ESTIMATOR_KINDS]
     if unknown:
         raise ValueError(f"unknown estimator kind {unknown[0]!r}")
     scn = ens.scenario
     lags = lag_samples(grid, scn.sample_period_s, scn.n_samples)
-    anchors = _checked_anchors(anchors, scn.n_samples, int(lags[-1]))
-    span = int(anchors[-1] + lags[-1]) + 1
-    mask = np.zeros(span)
-    mask[anchors] = 1.0
-    return lags, anchors, ens.sample_matrix[:, :span], mask, sp_fft.next_fast_len(span)
+    max_lag = int(lags[-1])
+    anchors = _checked_anchors(anchors, scn.n_samples, max_lag)
+    start, last = int(anchors[0]), int(anchors[-1])
+    step = int(np.gcd.reduce(np.diff(anchors))) if anchors.size > 1 else 1
+    mask = np.zeros((last - start) // step + 1)
+    mask[(anchors - start) // step] = 1.0
+    m = sp_fft.next_fast_len(mask.size + max_lag // step, real=True)
+    return lags, anchors, _Polyphase(start, step, mask, last + max_lag + 1 - start, m)
 
 
 def _masked_crosscorr(
-    z: np.ndarray, left, right, mask: np.ndarray, lags: np.ndarray, nfft: int
+    z: np.ndarray, left, right, layout: _Polyphase, lags: np.ndarray
 ) -> np.ndarray:
-    """Per-trial sums over t of conj(a[t])*mask[t]*b[t+l] for l in lags.
+    """Per-trial sums over anchors t of conj(a[t])*b[t+l] for l in lags.
 
     a = left(z) and b = right(z) are built per trial chunk.  Real sequences go
     through rfft/irfft, complex ones through fft/ifft with half as many trials
@@ -177,16 +216,18 @@ def _masked_crosscorr(
         forward, inverse, chunk = sp_fft.fft, sp_fft.ifft, _FFT_TRIAL_CHUNK // 2
     else:
         forward, inverse, chunk = sp_fft.rfft, sp_fft.irfft, _FFT_TRIAL_CHUNK
+    m = layout.m
     # Fortran order keeps each lag's trials contiguous, so a mean over trials
     # sums them pairwise; the digits of every reported mean depend on it.
     out = np.empty((z.shape[0], lags.size), dtype=empty.dtype, order="F")
     for start in range(0, z.shape[0], chunk):
         stop = start + chunk
-        lf = forward(left(z[start:stop]) * mask, nfft, axis=1)
-        rf = forward(right(z[start:stop]), nfft, axis=1)
-        np.conjugate(lf, out=lf)
-        lf *= rf
-        out[start:stop] = inverse(lf, nfft, axis=1)[:, lags]
+        d, phases = layout.operands(z[start:stop], left, right)
+        fd = forward(d, m, axis=1)
+        fb = forward(phases, axis=1)
+        np.conjugate(fd, out=fd)
+        fb *= fd[:, :, None]
+        out[start:stop] = inverse(fb, m, axis=1).reshape(len(d), -1)[:, lags]
     return out
 
 
@@ -204,27 +245,22 @@ def per_trial_correlations(
     raw products, so every array equals its :func:`per_trial_correlation`.
     For trial means alone, :func:`correlation_means` is cheaper.
     """
-    lags, anchors, z, mask, nfft = _correlation_setup(ens, kinds, grid, anchors)
-    # Peak RSS hangs on allocation order: the largest FFT workspace goes
-    # first, before any result is held, and the raw products are released
-    # before the division.  Other orders left 6-30 MB more peak RSS in the
-    # builtin suite or in one-kind calls than one call per kind did.
-    pairs = sorted(
-        dict.fromkeys(_LAG_PRODUCTS[kind][:2] for kind in kinds),
-        key=lambda pair: list(_SEQUENCES).index(pair[0]),
-    )
+    lags, anchors, layout = _correlation_setup(ens, kinds, grid, anchors)
+    # At these chunk sizes the pair order does not move the peak RSS: all
+    # eight kinds of a 500x6001 ensemble raised it 61.7 MB over the ensemble,
+    # and 62.0 MB with the pairs sorted by falling workspace.
     raw = {
         (left, right): _masked_crosscorr(
-            z, _SEQUENCES[left], _SEQUENCES[right], mask, lags, nfft
+            ens.sample_matrix, _SEQUENCES[left], _SEQUENCES[right], layout, lags
         )
-        for left, right in pairs
+        for left, right in dict.fromkeys(_LAG_PRODUCTS[kind][:2] for kind in kinds)
     }
-    parts = {}
+    out = {}
     for kind in kinds:
         left, right, part = _LAG_PRODUCTS[kind]
-        parts[kind] = raw[left, right] if part is None else part(raw[left, right])
-    del raw
-    return {kind: values / anchors.size for kind, values in parts.items()}
+        values = raw[left, right] if part is None else part(raw[left, right])
+        out[kind] = values / anchors.size
+    return out
 
 
 def per_trial_correlation(
@@ -242,6 +278,12 @@ def per_trial_correlation(
     return per_trial_correlations(ens, (kind,), grid, anchors)[kind]
 
 
+def _trial_sum(fm: np.ndarray, fz: np.ndarray) -> np.ndarray:
+    """sum over trials t of fm[t, k] * fz[t, k, q]: one (1, t) @ (t, step)
+    product per frequency k."""
+    return np.matmul(fm.T[:, None, :], fz.transpose(1, 0, 2))[:, 0]
+
+
 def correlation_means(
     ens: TraceEnsemble,
     kinds: list[str] | tuple[str, ...],
@@ -253,7 +295,8 @@ def correlation_means(
     Each equals ``per_trial_correlations(...)[kind].mean(axis=0)`` up to
     round-off.  The FFT is linear, so the trial sum is taken over spectra and
     each lag-product family gets one inverse transform in all, not one per
-    trial.  With Fm = F(mask*z) and Fz = F(z) per trial, the sums are
+    trial.  With Fm = F(d), d = mask*z on the anchor grid, and Fz = F(z) per
+    trace phase (see ``_Polyphase``), the (m, step) sums are
 
         S_P = sum conj(Fm[k]) Fz[k],    P = F^-1(S_P) = sum conj(z[t]) z[t+l]
         S_Q = sum Fm[-k] Fz[k],         Q = F^-1(S_Q) = sum z[t] z[t+l]
@@ -262,36 +305,35 @@ def correlation_means(
     combination of P and Q (``_PQ_PARTS``).  rsq sums the same spectrum of
     s = |z|^2 on the real transform.
     """
-    lags, anchors, z, mask, nfft = _correlation_setup(ens, kinds, grid, anchors)
-    s_p = np.zeros(nfft, dtype=complex)
-    s_q = np.zeros(nfft, dtype=complex)
-    s_sq = np.zeros(nfft // 2 + 1, dtype=complex)
+    lags, anchors, layout = _correlation_setup(ens, kinds, grid, anchors)
+    z, m = ens.sample_matrix, layout.m
+    s_p = np.zeros((m, layout.step), dtype=complex)
+    s_q = np.zeros((m, layout.step), dtype=complex)
+    s_sq = np.zeros((m // 2 + 1, layout.step), dtype=complex)
+    # Fm[-k] is Fm[0] at k = 0 and Fm[m - k] above it.
+    reverse = -np.arange(m) % m
     pq = any(kind in _PQ_PARTS for kind in kinds)
     for start in range(0, z.shape[0], _MEANS_TRIAL_CHUNK):
         chunk = z[start : start + _MEANS_TRIAL_CHUNK]
         if pq:
-            fm = sp_fft.fft(chunk * mask, nfft, axis=1)
-            fz = sp_fft.fft(chunk, nfft, axis=1)
-            # Fm[-k] is Fm[0] at k = 0 and Fm[nfft - k] above it.
-            s_q[0] += fm[:, 0] @ fz[:, 0]
-            s_q[1:] += (fm[:, :0:-1] * fz[:, 1:]).sum(axis=0)
-            np.conjugate(fm, out=fm)
-            fm *= fz
-            s_p += fm.sum(axis=0)
+            d, phases = layout.operands(chunk, _SEQUENCES["z"], _SEQUENCES["z"])
+            fm = sp_fft.fft(d, m, axis=1)
+            fz = sp_fft.fft(phases, axis=1)
+            s_q += _trial_sum(fm[:, reverse], fz)
+            s_p += _trial_sum(fm.conj(), fz)
         if "rsq" in kinds:
-            sq = _SEQUENCES["|z|^2"](chunk)
-            fm = sp_fft.rfft(sq * mask, nfft, axis=1)
-            fz = sp_fft.rfft(sq, nfft, axis=1)
-            np.conjugate(fm, out=fm)
-            fm *= fz
-            s_sq += fm.sum(axis=0)
+            sq = _SEQUENCES["|z|^2"]
+            d, phases = layout.operands(chunk, sq, sq)
+            fm = sp_fft.rfft(d, m, axis=1)
+            fz = sp_fft.rfft(phases, axis=1)
+            s_sq += _trial_sum(fm.conj(), fz)
     count = z.shape[0] * anchors.size
-    p = sp_fft.ifft(s_p)[lags] / count
-    q = sp_fft.ifft(s_q)[lags] / count
+    p = sp_fft.ifft(s_p, axis=0).reshape(-1)[lags] / count
+    q = sp_fft.ifft(s_q, axis=0).reshape(-1)[lags] / count
     means = {}
     for kind in kinds:
         if kind == "rsq":
-            means[kind] = sp_fft.irfft(s_sq, nfft)[lags] / count
+            means[kind] = sp_fft.irfft(s_sq, m, axis=0).reshape(-1)[lags] / count
         else:
             means[kind] = _PQ_PARTS[kind](p, q)
     return means

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from helpers import synthetic_ensemble
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import fft as sp_fft
 
 from twdpsim import estimators
@@ -126,25 +128,59 @@ def _random_ensemble(n_trials, n_samples, seed):
     return synthetic_ensemble(z, scn), z
 
 
-_CUSTOM_ANCHORS = np.array([0, 3, 4, 50, 101, 168])
+# Anchor sets for 200-sample traces and 31 lags (max lag 30), by test id, with
+# the polyphase step and transform length each one gets.
+_ANCHOR_SETS = {
+    "custom-anchors": (np.array([0, 3, 4, 50, 101, 168]), 1, 200),
+    "default-anchors": (None, 10, 20),
+    "offset-step12": (np.array([5, 17, 29, 65]), 12, 8),
+    "single-anchor": (np.array([7]), 1, 32),
+    "max-lag-off-step": (np.array([2, 9, 30, 86]), 7, 18),  # 30 = 4*7 + 2
+    "phases-past-trace-end": (np.array([13, 26, 169]), 13, 15),  # 13 + 15*13 > 200
+}
 
 
-@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
-def test_per_trial_correlation_matches_definition(kind):
+# (kind, anchor-set name) for every kind and set; the custom set keeps the
+# bare kind as its test id.
+_KIND_AND_ANCHOR_CASES = [
+    pytest.param(kind, name, id=kind if name == "custom-anchors" else f"{kind}-{name}")
+    for name in _ANCHOR_SETS
+    for kind in ESTIMATOR_KINDS
+]
+
+
+@pytest.mark.parametrize("name", _ANCHOR_SETS)
+def test_polyphase_layout(name):
+    ens, _ = _random_ensemble(2, 200, 17)
+    grid = small_grid(ens.scenario, 31)
+    anchors, step, m = _ANCHOR_SETS[name]
+    _, checked, layout = estimators._correlation_setup(ens, ("rxx",), grid, anchors)
+    assert (layout.step, layout.m) == (step, m)
+    assert layout.start == checked[0]
+    assert np.array_equal(layout.start + step * np.flatnonzero(layout.mask), checked)
+    # m * step covers every sample the sums read.
+    assert layout.span == checked[-1] + 30 + 1 - layout.start <= m * step
+
+
+@pytest.mark.parametrize("kind, name", _KIND_AND_ANCHOR_CASES)
+def test_per_trial_correlation_matches_definition(kind, name):
     ens, z = _random_ensemble(3, 200, 17)
     grid = small_grid(ens.scenario, 31)
-    got = per_trial_correlation(ens, kind, grid, _CUSTOM_ANCHORS)
-    want = _definition(kind, z, _CUSTOM_ANCHORS, 31)
+    anchors = _ANCHOR_SETS[name][0]
+    got = per_trial_correlation(ens, kind, grid, anchors)
+    if anchors is None:
+        anchors = default_anchors(200, 30)
+    want = _definition(kind, z, anchors, 31)
     assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
     assert np.abs(got - want).max() <= 1e-12
 
 
-@pytest.mark.parametrize("custom", [True, False], ids=["custom-anchors", "default-anchors"])
+@pytest.mark.parametrize("name", _ANCHOR_SETS)
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
-def test_correlation_means_matches_definition(kind, custom):
+def test_correlation_means_matches_definition(kind, name):
     ens, z = _random_ensemble(3, 200, 19)
     grid = small_grid(ens.scenario, 31)
-    anchors = _CUSTOM_ANCHORS if custom else None
+    anchors = _ANCHOR_SETS[name][0]
     got = correlation_means(ens, (kind,), grid, anchors)[kind]
     if anchors is None:
         anchors = default_anchors(200, 30)
@@ -153,8 +189,41 @@ def test_correlation_means_matches_definition(kind, custom):
     assert np.abs(got - want).max() <= 1e-12
 
 
-@pytest.mark.parametrize("anchors", [None, _CUSTOM_ANCHORS], ids=["default", "custom"])
-def test_correlation_means_equal_per_trial_means(anchors):
+@st.composite
+def _anchor_sets(draw, n_samples):
+    """(anchors, n_lags): a strictly increasing anchor set clear of the final
+    max-lag window, as start + step * sorted offsets."""
+    n_lags = draw(st.integers(1, n_samples // 2))
+    room = n_samples - (n_lags - 1)  # anchors lie in [0, room)
+    step = draw(st.integers(1, room))
+    offsets = draw(
+        st.lists(st.integers(0, (room - 1) // step), min_size=1, max_size=12, unique=True)
+    )
+    start = draw(st.integers(0, room - 1 - step * max(offsets)))
+    return start + step * np.array(sorted(offsets)), n_lags
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_anchor_sets(60))
+def test_correlations_match_definition_on_any_anchor_set(case):
+    anchors, n_lags = case
+    ens, z = _random_ensemble(2, 60, 47)
+    grid = small_grid(ens.scenario, n_lags)
+    means = correlation_means(ens, ESTIMATOR_KINDS, grid, anchors)
+    per_trial = per_trial_correlations(ens, ESTIMATOR_KINDS, grid, anchors)
+    for kind in ESTIMATOR_KINDS:
+        want = _definition(kind, z, anchors, n_lags)
+        assert np.abs(per_trial[kind] - want).max() <= 1e-12
+        assert np.abs(means[kind] - want.mean(axis=0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name",
+    _ANCHOR_SETS,
+    ids=lambda name: {"default-anchors": "default", "custom-anchors": "custom"}.get(name, name),
+)
+def test_correlation_means_equal_per_trial_means(name):
+    anchors = _ANCHOR_SETS[name][0]
     ens, _ = _random_ensemble(7, 300, 29)
     grid = small_grid(ens.scenario, 41)
     means = correlation_means(ens, ESTIMATOR_KINDS, grid, anchors)
@@ -173,19 +242,17 @@ def test_correlation_means_keep_kind_order_and_refuse_unknown_kinds():
         correlation_means(ens, ("rxx", "bogus"), grid)
 
 
-def test_correlation_means_fft_budget(monkeypatch):
-    # The five harness statistics cost four forward transforms per trial (two
-    # complex, two real) and three inverse transforms in all.
-    ens, _ = _random_ensemble(150, 200, 43)
-    grid = small_grid(ens.scenario, 31)
-    rows = {}
+def _count_transforms(monkeypatch):
+    """{(transform, length): number of 1-D transforms} of the estimators."""
+    counts = {}
 
     def counted(name):
         transform = getattr(sp_fft, name)
 
-        def call(x, *args, **kwargs):
-            rows[name] = rows.get(name, 0) + (x.shape[0] if x.ndim == 2 else 1)
-            return transform(x, *args, **kwargs)
+        def call(x, n=None, axis=-1, **kwargs):
+            key = (name, x.shape[axis] if n is None else n)
+            counts[key] = counts.get(key, 0) + x.size // x.shape[axis]
+            return transform(x, n, axis=axis, **kwargs)
 
         return call
 
@@ -193,8 +260,49 @@ def test_correlation_means_fft_budget(monkeypatch):
     for name in ("fft", "rfft", "ifft", "irfft"):
         setattr(counting, name, counted(name))
     monkeypatch.setattr(estimators, "sp_fft", counting)
-    correlation_means(ens, ("rxx", "rxy", "rzz_re", "rzz_im", "rsq"), grid)
-    assert rows == {"fft": 2 * 150, "rfft": 2 * 150, "ifft": 2, "irfft": 1}
+    return counts
+
+
+_HARNESS_KINDS = ("rxx", "rxy", "rzz_re", "rzz_im", "rsq")
+
+
+def test_correlation_means_fft_budget(monkeypatch):
+    # The five harness statistics cost, per trial, one transform of the
+    # anchor samples and `step` of the trace phases for each family (complex
+    # P/Q, real |z|^2), all of length m; per scenario, `step` inverse
+    # transforms for P, Q and |z|^2 each.  Default anchors on 200 samples
+    # with max lag 30: step 10, 17 anchors, m = next_fast_len(17 + 3) = 20.
+    ens, _ = _random_ensemble(150, 200, 43)
+    grid = small_grid(ens.scenario, 31)
+    counts = _count_transforms(monkeypatch)
+    correlation_means(ens, _HARNESS_KINDS, grid)
+    step, m = 10, 20
+    assert m == sp_fft.next_fast_len(17 + 30 // step, real=True)
+    assert counts == {
+        ("fft", m): 150 * (1 + step),
+        ("rfft", m): 150 * (1 + step),
+        ("ifft", m): 2 * step,
+        ("irfft", m): step,
+    }
+
+
+def test_per_trial_correlations_fft_budget(monkeypatch):
+    # Per trial and sequence pair: one transform of the anchor samples, `step`
+    # of the trace phases and `step` inverse ones, all of length m.  The five
+    # harness statistics use one complex pair (z, z) and three real ones
+    # (x, x), (x, y), (|z|^2, |z|^2).  Anchors 5, 17, 29, 65 with max lag 30:
+    # step 12, 6 grid points, m = next_fast_len(6 + 2) = 8.
+    ens, _ = _random_ensemble(40, 200, 43)
+    grid = small_grid(ens.scenario, 31)
+    counts = _count_transforms(monkeypatch)
+    per_trial_correlations(ens, _HARNESS_KINDS, grid, [5, 17, 29, 65])
+    step, m = 12, 8
+    assert counts == {
+        ("fft", m): 40 * (1 + step),
+        ("ifft", m): 40 * step,
+        ("rfft", m): 3 * 40 * (1 + step),
+        ("irfft", m): 3 * 40 * step,
+    }
 
 
 @pytest.mark.parametrize(
@@ -205,6 +313,9 @@ def test_correlation_means_fft_budget(monkeypatch):
         ([20, 0, 10], "strictly increasing"),  # last anchor is not the largest
         ([0.0, 10.0], "integers"),
         ([], "empty"),
+        # unsigned gaps would wrap to large positive numbers
+        (np.array([20, 0, 10], dtype=np.uint64), "strictly increasing"),
+        (np.array([20, 0, 10], dtype=np.uint8), "strictly increasing"),
     ],
 )
 @pytest.mark.parametrize("estimator", [per_trial_correlations, correlation_means])
@@ -221,6 +332,21 @@ def test_anchors_must_clear_the_max_lag_window():
     correlation_means(ens, ("rxx",), grid, [0, 169])
     with pytest.raises(LagError, match="overlaps"):
         correlation_means(ens, ("rxx",), grid, [0, 170])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+def test_anchor_dtype_does_not_change_the_estimate(dtype):
+    # uint8 anchors near 255 would overflow if the window check added the
+    # max lag in their own dtype.
+    ens, _ = _random_ensemble(2, 280, 53)
+    grid = small_grid(ens.scenario, 41)
+    anchors = [5, 125, 235, 239]
+    want = correlation_means(ens, ESTIMATOR_KINDS, grid, anchors)
+    got = correlation_means(ens, ESTIMATOR_KINDS, grid, np.array(anchors, dtype=dtype))
+    for kind in ESTIMATOR_KINDS:
+        assert got[kind].tobytes() == want[kind].tobytes()
+    with pytest.raises(LagError, match="overlaps"):  # 250 + 40 is 34 in uint8
+        correlation_means(ens, ("rxx",), grid, np.array([5, 250], dtype=dtype))
 
 
 def test_per_trial_correlations_bundle_is_bit_identical(monkeypatch):
