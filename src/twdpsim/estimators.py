@@ -6,29 +6,46 @@ default, keeping every anchor clear of the final max-lag window).  The anchor
 averaging is a variance reducer justified by the stationarity the suite also
 verifies; per-trial values remain available for standard-error estimates.
 
-The product sums are computed as FFT cross-correlations, which is exact (no
-windowing approximations) and returns every lag at once.  Anchors must be
-non-negative, strictly increasing integers; written as start + step*i, with
-step the gcd of their gaps (1 for a single anchor), they mark a decimated grid
-of n_d = (last - start) // step + 1 points.  Lag l = step*j + q then reads
-phase q of the trace, the samples start + step*r + q, so each lag-product sum
-is lag j of a short correlation of the anchor samples with one phase
-(polyphase decomposition; Vaidyanathan, *Multirate Systems and Filter Banks*,
-1993).  The anchor samples are transformed once at length
-m = next_fast_len(n_d + max_lag // step, real=True) and the trace as step
-phases of that length in one call: no sum reads row n_d + max_lag // step or
-past it, so no circular correlation wraps.  At 6001 samples with the default
-anchors and 1001 lags that is step = 10 and m = 625.
+Every kind is a fixed real combination of lag-product families
+ab(l) = sum over anchors t of a[t] b[t+l], over three real sequences: x = Re z,
+y = Im z and s = |z|^2.  One table (``_KIND_PARTS``) gives each kind its real
+part and, for rzz, its imaginary part:
 
-``correlation_means`` returns trial means only.  It sums spectra over trials
-and takes one inverse transform per lag-product family: P, Q (from which every
-quadrature kind and rzz follow) and the |z|^2 family.  ``per_trial_correlations``
-keeps one row per trial, at one inverse transform per trial and family.
+    rxx = xx   ryy = yy   rxy = xy   ryx = yx   rsq = ss
+    rzz_re = xx + yy      rzz_im = yx - xy      rzz = (xx + yy) + j(yx - xy)
+
+The sums are computed as FFT cross-correlations, which is exact (no windowing
+approximations) and returns every lag at once.  Anchors must be non-negative,
+strictly increasing integers; written as start + step*i, with step the gcd of
+their gaps (1 for a single anchor), they mark a decimated grid of
+n_d = (last - start) // step + 1 points.  Lag l = step*j + q then reads phase q
+of the trace, the samples start + step*r + q, so each family is lag j of a
+short correlation of the anchor samples with one phase (polyphase
+decomposition; Vaidyanathan, *Multirate Systems and Filter Banks*, 1993).  Per
+trial chunk, each sequence a family reads is transformed once with rfft at
+length m = next_fast_len(n_d + max_lag // step, real=True): on the anchor
+grid d = mask*a when a is a left sequence, and as step phases of that length
+when it is a right one.  Family ab has the spectrum conj(F(d_a)) F(b).  No sum
+reads row n_d + max_lag // step or past it, so no circular correlation wraps.
+At 6001 samples with the default anchors and 1001 lags that is step = 10 and
+m = 625.
+
+Two reductions share those spectra:
+
+* ``per_trial_correlations`` combines each kind part's families in the
+  spectrum and takes one irfft per part and trial: per trial, 1 + step
+  forward transforms per sequence and step inverse ones per part.
+* ``correlation_means`` sums each family's spectrum over trials and takes one
+  irfft per part in all: per trial, the same 1 + step forward transforms per
+  sequence, and per call, step inverse ones per part.
+
+No complex transform is taken.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +55,10 @@ from .sos import TraceEnsemble
 from .theory import CorrelationSeries, LagGrid
 
 DEFAULT_ANCHOR_STRIDE = 10
-# Trials per chunk of the per-trial path (half as many for complex pairs).
-# One kind at 500x6001 (best of 5, 2-vCPU Xeon) took 0.039 s (rxx) and
-# 0.052 s (rsq) at 16, 0.043/0.058 s at 32, 0.044/0.067 s at 64 and
-# 0.052/0.071 s at 128; the analysis benchmark's peak RSS read 171.6, 172.2
-# and 177.0 MB at 16, 32 and 64.
+# Trials per chunk of the per-trial path.  One kind at 500x6001 (best of 5,
+# 2-vCPU Xeon) took 0.039 s (rxx) and 0.052 s (rsq) at 16, 0.043/0.058 s at
+# 32, 0.044/0.067 s at 64 and 0.052/0.071 s at 128; the analysis benchmark's
+# peak RSS read 171.6, 172.2 and 177.0 MB at 16, 32 and 64.
 _FFT_TRIAL_CHUNK = 16
 # correlation_means keeps no per-trial rows, so its chunks can be small.  Its
 # freed workspace stays on the heap when it is smaller than glibc's trim
@@ -52,37 +68,31 @@ _FFT_TRIAL_CHUNK = 16
 # at 4, 8, 16 and 32 (best of 7).
 _MEANS_TRIAL_CHUNK = 8
 
-# Per kind: the sequences (a, b) of z = x + jy whose products
-# conj(a[t]) b[t+l] it sums, and the part of the sum it reports (None: all).
-# rzz, z(t) conj(z(t+l)), is the conjugate of the (z, z) sum.
+# The three real sequences of z = x + jy that every kind correlates.
 _SEQUENCES = {
-    "z": lambda z: z,
-    "|z|^2": lambda z: z.real * z.real + z.imag * z.imag,
     "x": lambda z: z.real,
     "y": lambda z: z.imag,
+    "s": lambda z: z.real * z.real + z.imag * z.imag,
 }
-_LAG_PRODUCTS = {
-    "rxx": ("x", "x", None),
-    "ryy": ("y", "y", None),
-    "rxy": ("x", "y", None),
-    "ryx": ("y", "x", None),
-    "rzz": ("z", "z", np.conj),
-    "rzz_re": ("z", "z", np.real),
-    "rzz_im": ("z", "z", lambda c: -c.imag),
-    "rsq": ("|z|^2", "|z|^2", None),
+# Per kind: its real part and, for rzz, its imaginary part, each a signed sum
+# of lag-product families ab(l) = sum over anchors t of a[t] b[t+l], with the
+# first term positive.  rzz is z(t) conj(z(t+l)).
+_KIND_PARTS = {
+    "rxx": ("xx",),
+    "ryy": ("yy",),
+    "rxy": ("xy",),
+    "ryx": ("yx",),
+    "rzz": ("xx+yy", "yx-xy"),
+    "rzz_re": ("xx+yy",),
+    "rzz_im": ("yx-xy",),
+    "rsq": ("ss",),
 }
-ESTIMATOR_KINDS = tuple(_LAG_PRODUCTS)
-# Every kind but rsq from P(l) = sum conj(z[t]) z[t+l] and Q(l) = sum z[t]
-# z[t+l], summed over anchors t.  With x = Re z, y = Im z and primes at t+l,
-# P + Q = 2(x x' + j x y') and P - Q = 2(y y' - j y x').
-_PQ_PARTS = {
-    "rxx": lambda p, q: (p + q).real / 2,
-    "ryy": lambda p, q: (p - q).real / 2,
-    "rxy": lambda p, q: (p + q).imag / 2,
-    "ryx": lambda p, q: (q - p).imag / 2,
-    "rzz": lambda p, q: p.conj(),
-    "rzz_re": lambda p, q: p.real,
-    "rzz_im": lambda p, q: -p.imag,
+ESTIMATOR_KINDS = tuple(_KIND_PARTS)
+# Per part, its (sign, family) terms: "yx-xy" gives [("", "yx"), ("-", "xy")].
+_TERMS = {
+    part: re.findall(r"([+-]?)(\w\w)", part)
+    for parts in _KIND_PARTS.values()
+    for part in parts
 }
 
 
@@ -172,14 +182,40 @@ class _Polyphase:
     span: int
     m: int
 
-    def operands(self, z: np.ndarray, left, right):
-        """d = mask*left(z) on the anchor grid, and right(z) from ``start`` as
-        (trials, m, step) phases, zero past the samples the sums read."""
-        d = left(z[:, self.start :: self.step][:, : self.mask.size]) * self.mask
-        b = right(z[:, self.start : self.start + self.span])
-        phases = np.zeros((z.shape[0], self.m * self.step), dtype=b.dtype)
-        phases[:, : self.span] = b
-        return d, phases.reshape(z.shape[0], self.m, self.step)
+    def spectra(self, z: np.ndarray, families, chunk: int):
+        """Yield (trials, left, right) per chunk of ``chunk`` trials of ``z``:
+        the chunk's slice of trials and the transforms ``families`` read.
+
+        left[a] is conj(F(d)) of d = mask*a on the anchor grid, shape
+        (trials, m//2 + 1), and right[b] is F(b) of b from ``start`` as
+        (trials, m, step) phases, zero past the samples the sums read, shape
+        (trials, m//2 + 1, step).  Family ab has the spectrum
+        left[a][:, :, None] * right[b].  Each sequence is formed and
+        transformed once per chunk, however many families read it.  The two
+        dicts are refilled for every chunk: read them before the next.
+        """
+        left, right = {ab[0] for ab in families}, {ab[1] for ab in families}
+        # z from ``start``, filled up to ``span`` per chunk; the rest stays
+        # zero, and so does every sequence formed from it.
+        phases = np.zeros((chunk, self.m * self.step), dtype=complex)
+        fa, fb = {}, {}
+        for first in range(0, z.shape[0], chunk):
+            # Refill the yielded dicts, so the last chunk's spectra are freed
+            # before this chunk's are made.
+            fa.clear()
+            fb.clear()
+            rows = min(chunk, z.shape[0] - first)
+            samples = z[first : first + rows, self.start : self.start + self.span]
+            phases[:rows, : self.span] = samples
+            for name in sorted(left | right):
+                seq = _SEQUENCES[name](phases[:rows])
+                if name in right:
+                    fb[name] = sp_fft.rfft(seq.reshape(rows, self.m, self.step), axis=1)
+                if name in left:
+                    d = seq[:, :: self.step][:, : self.mask.size] * self.mask
+                    fa[name] = sp_fft.rfft(d, self.m, axis=1)
+                    np.conjugate(fa[name], out=fa[name])
+            yield slice(first, first + rows), fa, fb
 
 
 def _correlation_setup(ens: TraceEnsemble, kinds, grid: LagGrid, anchors):
@@ -202,33 +238,36 @@ def _correlation_setup(ens: TraceEnsemble, kinds, grid: LagGrid, anchors):
     return lags, anchors, _Polyphase(start, step, mask, last + max_lag + 1 - start, m)
 
 
-def _masked_crosscorr(
-    z: np.ndarray, left, right, layout: _Polyphase, lags: np.ndarray
-) -> np.ndarray:
-    """Per-trial sums over anchors t of conj(a[t])*b[t+l] for l in lags.
+def _parts_and_families(kinds):
+    """The distinct parts of ``kinds``, and the distinct families they read."""
+    parts = tuple(dict.fromkeys(part for kind in kinds for part in _KIND_PARTS[kind]))
+    families = dict.fromkeys(ab for part in parts for _, ab in _TERMS[part])
+    return parts, tuple(families)
 
-    a = left(z) and b = right(z) are built per trial chunk.  Real sequences go
-    through rfft/irfft, complex ones through fft/ifft with half as many trials
-    per chunk, so the FFT workspace keeps its size.
-    """
-    empty = left(z[:0])
-    if np.iscomplexobj(empty):
-        forward, inverse, chunk = sp_fft.fft, sp_fft.ifft, _FFT_TRIAL_CHUNK // 2
-    else:
-        forward, inverse, chunk = sp_fft.rfft, sp_fft.irfft, _FFT_TRIAL_CHUNK
-    m = layout.m
-    # Fortran order keeps each lag's trials contiguous, so a mean over trials
-    # sums them pairwise; the digits of every reported mean depend on it.
-    out = np.empty((z.shape[0], lags.size), dtype=empty.dtype, order="F")
-    for start in range(0, z.shape[0], chunk):
-        stop = start + chunk
-        d, phases = layout.operands(z[start:stop], left, right)
-        fd = forward(d, m, axis=1)
-        fb = forward(phases, axis=1)
-        np.conjugate(fd, out=fd)
-        fb *= fd[:, :, None]
-        out[start:stop] = inverse(fb, m, axis=1).reshape(len(d), -1)[:, lags]
-    return out
+
+def _part_spectrum(part: str, family_spectrum) -> np.ndarray:
+    """The signed sum of the family spectra of ``part``; family_spectrum(ab)
+    returns family ab's spectrum as a new array."""
+    (_, first), *rest = _TERMS[part]
+    total = family_spectrum(first)
+    for sign, ab in rest:
+        if sign == "+":
+            total += family_spectrum(ab)
+        else:
+            total -= family_spectrum(ab)
+    return total
+
+
+def _kind_values(kind: str, parts: dict) -> np.ndarray:
+    """A kind's values from its part values; rzz is assembled from its real
+    and imaginary parts, so it equals rzz_re + j*rzz_im bit for bit."""
+    real, *imag = (parts[part] for part in _KIND_PARTS[kind])
+    if not imag:
+        return real
+    # Fortran order, as for every per-trial array (see per_trial_correlations).
+    values = np.empty(real.shape, dtype=complex, order="F")
+    values.real, values.imag = real, imag[0]
+    return values
 
 
 def per_trial_correlations(
@@ -239,28 +278,24 @@ def per_trial_correlations(
 ) -> dict[str, np.ndarray]:
     """Anchor-averaged lag products per trial for several kinds at once.
 
-    Returns {kind: (n_trials, n_lags) array}.  Kinds that share a sequence
-    pair (rzz, rzz_re and rzz_im all use (z, z)) share one FFT correlation;
-    each kind's part and the division by the anchor count are applied to the
-    raw products, so every array equals its :func:`per_trial_correlation`.
-    For trial means alone, :func:`correlation_means` is cheaper.
+    Returns {kind: (n_trials, n_lags) array}.  Per trial chunk every sequence
+    is transformed once, and each distinct kind part (rzz_re and the real
+    part of rzz are one) gets one inverse transform per trial, so every array
+    equals its :func:`per_trial_correlation` bit for bit.  For trial means
+    alone, :func:`correlation_means` is cheaper.
     """
     lags, anchors, layout = _correlation_setup(ens, kinds, grid, anchors)
-    # At these chunk sizes the pair order does not move the peak RSS: all
-    # eight kinds of a 500x6001 ensemble raised it 61.7 MB over the ensemble,
-    # and 62.0 MB with the pairs sorted by falling workspace.
-    raw = {
-        (left, right): _masked_crosscorr(
-            ens.sample_matrix, _SEQUENCES[left], _SEQUENCES[right], layout, lags
-        )
-        for left, right in dict.fromkeys(_LAG_PRODUCTS[kind][:2] for kind in kinds)
-    }
-    out = {}
-    for kind in kinds:
-        left, right, part = _LAG_PRODUCTS[kind]
-        values = raw[left, right] if part is None else part(raw[left, right])
-        out[kind] = values / anchors.size
-    return out
+    parts, families = _parts_and_families(kinds)
+    z = ens.sample_matrix
+    # Fortran order keeps each lag's trials contiguous, so a mean over trials
+    # sums them pairwise; the digits of every reported mean depend on it.
+    values = {part: np.empty((z.shape[0], lags.size), order="F") for part in parts}
+    for trials, fa, fb in layout.spectra(z, families, _FFT_TRIAL_CHUNK):
+        for part, out in values.items():
+            spectrum = _part_spectrum(part, lambda ab: fb[ab[1]] * fa[ab[0]][:, :, None])
+            sums = sp_fft.irfft(spectrum, layout.m, axis=1).reshape(len(spectrum), -1)
+            np.divide(sums[:, lags], anchors.size, out=out[trials])
+    return {kind: _kind_values(kind, values) for kind in kinds}
 
 
 def per_trial_correlation(
@@ -278,10 +313,10 @@ def per_trial_correlation(
     return per_trial_correlations(ens, (kind,), grid, anchors)[kind]
 
 
-def _trial_sum(fm: np.ndarray, fz: np.ndarray) -> np.ndarray:
-    """sum over trials t of fm[t, k] * fz[t, k, q]: one (1, t) @ (t, step)
+def _trial_sum(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """sum over trials t of fa[t, k] * fb[t, k, q]: one (1, t) @ (t, step)
     product per frequency k."""
-    return np.matmul(fm.T[:, None, :], fz.transpose(1, 0, 2))[:, 0]
+    return np.matmul(fa.T[:, None, :], fb.transpose(1, 0, 2))[:, 0]
 
 
 def correlation_means(
@@ -293,50 +328,25 @@ def correlation_means(
     """Trial means of the anchor-averaged lag products, {kind: (n_lags,) array}.
 
     Each equals ``per_trial_correlations(...)[kind].mean(axis=0)`` up to
-    round-off.  The FFT is linear, so the trial sum is taken over spectra and
-    each lag-product family gets one inverse transform in all, not one per
-    trial.  With Fm = F(d), d = mask*z on the anchor grid, and Fz = F(z) per
-    trace phase (see ``_Polyphase``), the (m, step) sums are
-
-        S_P = sum conj(Fm[k]) Fz[k],    P = F^-1(S_P) = sum conj(z[t]) z[t+l]
-        S_Q = sum Fm[-k] Fz[k],         Q = F^-1(S_Q) = sum z[t] z[t+l]
-
-    (anchor sums over t), and every quadrature kind and rzz is a fixed
-    combination of P and Q (``_PQ_PARTS``).  rsq sums the same spectrum of
-    s = |z|^2 on the real transform.
+    round-off.  The transform is linear, so each family's spectrum is summed
+    over trials, and each distinct kind part gets one inverse transform in
+    all, not one per trial.
     """
     lags, anchors, layout = _correlation_setup(ens, kinds, grid, anchors)
+    parts, families = _parts_and_families(kinds)
     z, m = ens.sample_matrix, layout.m
-    s_p = np.zeros((m, layout.step), dtype=complex)
-    s_q = np.zeros((m, layout.step), dtype=complex)
-    s_sq = np.zeros((m // 2 + 1, layout.step), dtype=complex)
-    # Fm[-k] is Fm[0] at k = 0 and Fm[m - k] above it.
-    reverse = -np.arange(m) % m
-    pq = any(kind in _PQ_PARTS for kind in kinds)
-    for start in range(0, z.shape[0], _MEANS_TRIAL_CHUNK):
-        chunk = z[start : start + _MEANS_TRIAL_CHUNK]
-        if pq:
-            d, phases = layout.operands(chunk, _SEQUENCES["z"], _SEQUENCES["z"])
-            fm = sp_fft.fft(d, m, axis=1)
-            fz = sp_fft.fft(phases, axis=1)
-            s_q += _trial_sum(fm[:, reverse], fz)
-            s_p += _trial_sum(fm.conj(), fz)
-        if "rsq" in kinds:
-            sq = _SEQUENCES["|z|^2"]
-            d, phases = layout.operands(chunk, sq, sq)
-            fm = sp_fft.rfft(d, m, axis=1)
-            fz = sp_fft.rfft(phases, axis=1)
-            s_sq += _trial_sum(fm.conj(), fz)
+    sums = {ab: np.zeros((m // 2 + 1, layout.step), dtype=complex) for ab in families}
+    for _, fa, fb in layout.spectra(z, families, _MEANS_TRIAL_CHUNK):
+        for ab, total in sums.items():
+            total += _trial_sum(fa[ab[0]], fb[ab[1]])
     count = z.shape[0] * anchors.size
-    p = sp_fft.ifft(s_p, axis=0).reshape(-1)[lags] / count
-    q = sp_fft.ifft(s_q, axis=0).reshape(-1)[lags] / count
-    means = {}
-    for kind in kinds:
-        if kind == "rsq":
-            means[kind] = sp_fft.irfft(s_sq, m, axis=0).reshape(-1)[lags] / count
-        else:
-            means[kind] = _PQ_PARTS[kind](p, q)
-    return means
+    means = {
+        part: sp_fft.irfft(_part_spectrum(part, lambda ab: sums[ab].copy()), m, axis=0)
+        .reshape(-1)[lags]
+        / count
+        for part in parts
+    }
+    return {kind: _kind_values(kind, means) for kind in kinds}
 
 
 def ensemble_correlation(
@@ -401,18 +411,21 @@ def per_trial_crossing_rates(
 ) -> np.ndarray:
     """Normalized upward crossing rates per trial, shape (n_trials, n_thresholds).
 
-    An upward crossing is a sample pair (at-or-below, above); counts divide by
-    the per-trial observation time and the maximum Doppler frequency.
+    An upward crossing is a sample pair (at-or-below, above): one comparison
+    per sample marks it above or not, and a crossing is a not-above sample
+    followed by an above one.  Counts divide by the per-trial observation time
+    and the maximum Doppler frequency.
     """
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    if np.any(thresholds < 0):
-        raise ValueError("thresholds must be >= 0")
+    if not np.all(thresholds >= 0):  # NaN fails this too
+        raise ValueError("thresholds must be >= 0 and not NaN")
     scn = ens.scenario
     env = np.abs(ens.sample_matrix)
     obs_time = (scn.n_samples - 1) * scn.sample_period_s
     rates = np.empty((ens.n_trials, thresholds.size))
     for j, rho in enumerate(thresholds):
-        ups = ((env[:, :-1] <= rho) & (env[:, 1:] > rho)).sum(axis=1)
+        above = env > rho
+        ups = (above[:, 1:] & ~above[:, :-1]).sum(axis=1)
         rates[:, j] = ups / obs_time / scn.doppler_hz
     return rates
 

@@ -55,7 +55,7 @@ ORACLES = (
 # the Rayleigh one, so TWDP crossing rates are checked seed against seed.
 _FORMULAS = ("reference_formula", "simulator_formula")
 STATISTIC_ORACLES = {
-    **dict.fromkeys(("rxx", "ryy", "rxy", "ryx", "rzz_re", "rzz_im", "rsq", "pdf"), _FORMULAS),
+    **dict.fromkeys((*theory.CORRELATION_KINDS, "pdf"), _FORMULAS),
     "lcr": ("closed_form_oracle", "self_consistency"),
 }
 
@@ -369,7 +369,7 @@ def run_validation(
     for vs in scenarios:
         scenario_seed = derive_seed(seed, vs.name)
         scn = validate_scenario(replace(vs.scenario, seed=scenario_seed))
-        corr_stats = [s for s in vs.statistics if s not in ("pdf", "lcr")]
+        corr_stats = [s for s in vs.statistics if s in theory.CORRELATION_KINDS]
         ensemble = None  # free the previous scenario's ensemble before synthesis
         ensemble = sos.generate_ensemble(scn)
         grid = default_correlation_grid(scn) if corr_stats else None

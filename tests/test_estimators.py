@@ -267,11 +267,13 @@ _HARNESS_KINDS = ("rxx", "rxy", "rzz_re", "rzz_im", "rsq")
 
 
 def test_correlation_means_fft_budget(monkeypatch):
-    # The five harness statistics cost, per trial, one transform of the
-    # anchor samples and `step` of the trace phases for each family (complex
-    # P/Q, real |z|^2), all of length m; per scenario, `step` inverse
-    # transforms for P, Q and |z|^2 each.  Default anchors on 200 samples
-    # with max lag 30: step 10, 17 anchors, m = next_fast_len(17 + 3) = 20.
+    # The five harness statistics read the families xx, xy, yy, yx and ss of
+    # the real sequences x = Re z, y = Im z and s = |z|^2.  Per trial, each
+    # sequence costs one real transform of its anchor samples and `step` of
+    # its trace phases, all of length m; per scenario, each kind part (rxx,
+    # rxy, rzz_re, rzz_im, rsq) costs `step` inverse real transforms.
+    # Default anchors on 200 samples with max lag 30: step 10, 17 anchors,
+    # m = next_fast_len(17 + 3) = 20.
     ens, _ = _random_ensemble(150, 200, 43)
     grid = small_grid(ens.scenario, 31)
     counts = _count_transforms(monkeypatch)
@@ -279,29 +281,25 @@ def test_correlation_means_fft_budget(monkeypatch):
     step, m = 10, 20
     assert m == sp_fft.next_fast_len(17 + 30 // step, real=True)
     assert counts == {
-        ("fft", m): 150 * (1 + step),
-        ("rfft", m): 150 * (1 + step),
-        ("ifft", m): 2 * step,
-        ("irfft", m): step,
+        ("rfft", m): 150 * 3 * (1 + step),
+        ("irfft", m): 5 * step,
     }
 
 
 def test_per_trial_correlations_fft_budget(monkeypatch):
-    # Per trial and sequence pair: one transform of the anchor samples, `step`
-    # of the trace phases and `step` inverse ones, all of length m.  The five
-    # harness statistics use one complex pair (z, z) and three real ones
-    # (x, x), (x, y), (|z|^2, |z|^2).  Anchors 5, 17, 29, 65 with max lag 30:
-    # step 12, 6 grid points, m = next_fast_len(6 + 2) = 8.
+    # Per trial: for each of x, y and s, one transform of the anchor samples
+    # and `step` of the trace phases, and for each of the five kind parts
+    # `step` inverse transforms, all real and of length m.  Anchors 5, 17,
+    # 29, 65 with max lag 30: step 12, 6 grid points, m = next_fast_len(6 + 2)
+    # = 8.
     ens, _ = _random_ensemble(40, 200, 43)
     grid = small_grid(ens.scenario, 31)
     counts = _count_transforms(monkeypatch)
     per_trial_correlations(ens, _HARNESS_KINDS, grid, [5, 17, 29, 65])
     step, m = 12, 8
     assert counts == {
-        ("fft", m): 40 * (1 + step),
-        ("ifft", m): 40 * step,
-        ("rfft", m): 3 * 40 * (1 + step),
-        ("irfft", m): 3 * 40 * step,
+        ("rfft", m): 40 * 3 * (1 + step),
+        ("irfft", m): 40 * 5 * step,
     }
 
 
@@ -351,26 +349,42 @@ def test_anchor_dtype_does_not_change_the_estimate(dtype):
 
 def test_per_trial_correlations_bundle_is_bit_identical(monkeypatch):
     # Every kind of one bundle call equals its own per-kind call bit for bit,
-    # and the bundle runs one FFT correlation per distinct sequence pair.
+    # and the bundle transforms each sequence once per trial.
     scn = synth_scenario(5, 300)
     rng = np.random.default_rng(23)
     z = rng.standard_normal((5, 300)) + 1j * rng.standard_normal((5, 300))
     ens = synthetic_ensemble(z, scn)
     grid = small_grid(scn, 41)
     single = {kind: per_trial_correlation(ens, kind, grid) for kind in ESTIMATOR_KINDS}
-    calls = []
-    original = estimators._masked_crosscorr
-    monkeypatch.setattr(
-        estimators, "_masked_crosscorr", lambda *a: calls.append(a[1:3]) or original(*a)
-    )
+    counts = _count_transforms(monkeypatch)
     bundle = per_trial_correlations(ens, ESTIMATOR_KINDS, grid)
     assert list(bundle) == list(ESTIMATOR_KINDS)
     for kind in ESTIMATOR_KINDS:
         assert bundle[kind].dtype == single[kind].dtype
         assert bundle[kind].tobytes() == single[kind].tobytes()
-    assert len(calls) == len(ESTIMATOR_KINDS) - 2  # rzz, rzz_re, rzz_im share (z, z)
+    # Default anchors 0, 10, ..., 250 with max lag 40: step 10, 26 anchors,
+    # m = next_fast_len(26 + 4) = 30.  Each of x, y and s takes one forward
+    # pass (anchor samples and `step` phases); the seven distinct kind parts
+    # (rzz_re and rzz_im are the two parts of rzz) take `step` inverse
+    # transforms each.
+    step, m = 10, 30
+    assert counts == {
+        ("rfft", m): 5 * 3 * (1 + step),
+        ("irfft", m): 5 * 7 * step,
+    }
     with pytest.raises(ValueError, match="bogus"):
         per_trial_correlations(ens, ("rxx", "bogus"), grid)
+
+
+@pytest.mark.parametrize("estimator", [per_trial_correlations, correlation_means])
+def test_rzz_is_rzz_re_plus_j_rzz_im_bit_for_bit(estimator):
+    ens, _ = _random_ensemble(6, 250, 59)
+    grid = small_grid(ens.scenario, 37)
+    got = estimator(ens, ("rzz", "rzz_re", "rzz_im"), grid)
+    alone = {kind: estimator(ens, (kind,), grid)[kind] for kind in ("rzz_re", "rzz_im")}
+    assert got["rzz"].dtype == complex
+    for part, kind in ((got["rzz"].real, "rzz_re"), (got["rzz"].imag, "rzz_im")):
+        assert part.tobytes() == got[kind].tobytes() == alone[kind].tobytes()
 
 
 class TestEnsembleCorrelationStatistical:
@@ -578,3 +592,26 @@ class TestLevelCrossingRate:
         ens = synthetic_ensemble(np.ones((2, 100), dtype=complex), scn)
         with pytest.raises(ValueError):
             level_crossing_rate(ens, [-0.1])
+
+    @pytest.mark.parametrize("estimator", [per_trial_crossing_rates, level_crossing_rate])
+    def test_rejects_nan_threshold(self, estimator):
+        scn = synth_scenario(2, 100)
+        ens = synthetic_ensemble(np.ones((2, 100), dtype=complex), scn)
+        with pytest.raises(ValueError, match="NaN"):
+            estimator(ens, [np.nan, 1.0])
+
+    def test_counts_equal_the_two_comparison_definition(self):
+        # A crossing is a pair (at-or-below, above).  Thresholds equal to
+        # sample values put samples exactly on the `<=` tie.
+        scn = synth_scenario(7, 400)
+        rng = np.random.default_rng(61)
+        z = rng.standard_normal((7, 400)) + 1j * rng.standard_normal((7, 400))
+        ens = synthetic_ensemble(z, scn)
+        env = np.abs(z)
+        thresholds = np.concatenate(([0.0, 0.5, 1.0], env[0, :40], env[3, 200:220]))
+        rates = per_trial_crossing_rates(ens, thresholds)
+        obs_time = (400 - 1) * scn.sample_period_s
+        for j, rho in enumerate(thresholds):
+            ups = ((env[:, :-1] <= rho) & (env[:, 1:] > rho)).sum(axis=1)
+            assert rates[:, j].tobytes() == (ups / obs_time / scn.doppler_hz).tobytes()
+        assert np.any(rates > 0)
