@@ -23,6 +23,7 @@ from .params import (
 from .sos import (
     DiffuseRealization,
     FadingTrace,
+    LazyEnsemble,
     TraceEnsemble,
     diffuse_sample,
     draw_trial_randoms,

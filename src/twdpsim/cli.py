@@ -164,7 +164,7 @@ def _cmd_acf(args) -> int:
     scn = validate_scenario(_load_scenario(args))
     _log_scenario(scn)
     grid = harness.default_correlation_grid(scn)
-    ens = sos.generate_ensemble(scn)
+    ens = sos.LazyEnsemble(scn)
     oracle = _oracle_values(args.kind, scn, grid, "simulator_formula")
     if args.kind == "rzz":
         mean = estimators.correlation_means(ens, ("rzz",), grid)["rzz"]
@@ -182,7 +182,7 @@ def _cmd_acf(args) -> int:
 def _cmd_pdf(args) -> int:
     scn = validate_scenario(_load_scenario(args))
     _log_scenario(scn)
-    ens = sos.generate_ensemble(scn)
+    ens = sos.LazyEnsemble(scn)
     hist = estimators.envelope_pdf(ens, bins=args.bins, value_range=harness.pdf_range(scn))
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     oracle = theory.envelope_pdf_reference(scn.params, centers)
@@ -197,7 +197,7 @@ def _cmd_pdf(args) -> int:
 def _cmd_lcr(args) -> int:
     scn = validate_scenario(_load_scenario(args))
     _log_scenario(scn)
-    ens = sos.generate_ensemble(scn)
+    ens = sos.LazyEnsemble(scn)
     curve = estimators.level_crossing_rate(ens, harness.LCR_THRESHOLDS)
     if scn.params.v1 == 0 and scn.params.v2 == 0:
         oracle = theory.rayleigh_lcr_oracle(curve.thresholds)

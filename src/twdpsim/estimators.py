@@ -40,6 +40,13 @@ Two reductions share those spectra:
   sequence, and per call, step inverse ones per part.
 
 No complex transform is taken.
+
+Every estimator reads its ensemble through ``blocks()`` (see ``sos``), a
+block of ``sos.TRIAL_BLOCK`` trials at a time, so a ``LazyEnsemble`` is never
+whole in memory: per-trial results are filled in block by block, trial sums
+run over chunks of each block in trial order, and envelope picks are taken
+per block.  The trial chunks below divide the block, so every result is the
+same, bit for bit, for an in-memory and a lazy ensemble of one scenario.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .sos import TraceEnsemble
+from .sos import Ensemble
 from .theory import CorrelationSeries, LagGrid
 
 DEFAULT_ANCHOR_STRIDE = 10
@@ -182,9 +189,10 @@ class _Polyphase:
     span: int
     m: int
 
-    def spectra(self, z: np.ndarray, families, chunk: int):
-        """Yield (trials, left, right) per chunk of ``chunk`` trials of ``z``:
-        the chunk's slice of trials and the transforms ``families`` read.
+    def spectra(self, ens: Ensemble, families, chunk: int):
+        """Yield (trials, left, right) per chunk of at most ``chunk`` trials
+        of each block of ``ens``: the chunk's slice of trials and the
+        transforms ``families`` read.
 
         left[a] is conj(F(d)) of d = mask*a on the anchor grid, shape
         (trials, m//2 + 1), and right[b] is F(b) of b from ``start`` as
@@ -199,26 +207,28 @@ class _Polyphase:
         # zero, and so does every sequence formed from it.
         phases = np.zeros((chunk, self.m * self.step), dtype=complex)
         fa, fb = {}, {}
-        for first in range(0, z.shape[0], chunk):
-            # Refill the yielded dicts, so the last chunk's spectra are freed
-            # before this chunk's are made.
-            fa.clear()
-            fb.clear()
-            rows = min(chunk, z.shape[0] - first)
-            samples = z[first : first + rows, self.start : self.start + self.span]
-            phases[:rows, : self.span] = samples
-            for name in sorted(left | right):
-                seq = _SEQUENCES[name](phases[:rows])
-                if name in right:
-                    fb[name] = sp_fft.rfft(seq.reshape(rows, self.m, self.step), axis=1)
-                if name in left:
-                    d = seq[:, :: self.step][:, : self.mask.size] * self.mask
-                    fa[name] = sp_fft.rfft(d, self.m, axis=1)
-                    np.conjugate(fa[name], out=fa[name])
-            yield slice(first, first + rows), fa, fb
+        for block_rows, block in ens.blocks():
+            for first in range(0, len(block), chunk):
+                # Refill the yielded dicts, so the last chunk's spectra are
+                # freed before this chunk's are made.
+                fa.clear()
+                fb.clear()
+                rows = min(chunk, len(block) - first)
+                samples = block[first : first + rows, self.start : self.start + self.span]
+                phases[:rows, : self.span] = samples
+                for name in sorted(left | right):
+                    seq = _SEQUENCES[name](phases[:rows])
+                    if name in right:
+                        fb[name] = sp_fft.rfft(seq.reshape(rows, self.m, self.step), axis=1)
+                    if name in left:
+                        d = seq[:, :: self.step][:, : self.mask.size] * self.mask
+                        fa[name] = sp_fft.rfft(d, self.m, axis=1)
+                        np.conjugate(fa[name], out=fa[name])
+                trial = block_rows.start + first
+                yield slice(trial, trial + rows), fa, fb
 
 
-def _correlation_setup(ens: TraceEnsemble, kinds, grid: LagGrid, anchors):
+def _correlation_setup(ens: Ensemble, kinds, grid: LagGrid, anchors):
     """Checked kinds, lags and anchors, and the polyphase layout of the sums.
 
     Since step*(max_lag // step + 1) > max_lag, m*step >= span.
@@ -271,7 +281,7 @@ def _kind_values(kind: str, parts: dict) -> np.ndarray:
 
 
 def per_trial_correlations(
-    ens: TraceEnsemble,
+    ens: Ensemble,
     kinds: list[str] | tuple[str, ...],
     grid: LagGrid,
     anchors: np.ndarray | None = None,
@@ -286,11 +296,10 @@ def per_trial_correlations(
     """
     lags, anchors, layout = _correlation_setup(ens, kinds, grid, anchors)
     parts, families = _parts_and_families(kinds)
-    z = ens.sample_matrix
     # Fortran order keeps each lag's trials contiguous, so a mean over trials
     # sums them pairwise; the digits of every reported mean depend on it.
-    values = {part: np.empty((z.shape[0], lags.size), order="F") for part in parts}
-    for trials, fa, fb in layout.spectra(z, families, _FFT_TRIAL_CHUNK):
+    values = {part: np.empty((ens.n_trials, lags.size), order="F") for part in parts}
+    for trials, fa, fb in layout.spectra(ens, families, _FFT_TRIAL_CHUNK):
         for part, out in values.items():
             spectrum = _part_spectrum(part, lambda ab: fb[ab[1]] * fa[ab[0]][:, :, None])
             sums = sp_fft.irfft(spectrum, layout.m, axis=1).reshape(len(spectrum), -1)
@@ -299,7 +308,7 @@ def per_trial_correlations(
 
 
 def per_trial_correlation(
-    ens: TraceEnsemble,
+    ens: Ensemble,
     kind: str,
     grid: LagGrid,
     anchors: np.ndarray | None = None,
@@ -320,7 +329,7 @@ def _trial_sum(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
 
 
 def correlation_means(
-    ens: TraceEnsemble,
+    ens: Ensemble,
     kinds: list[str] | tuple[str, ...],
     grid: LagGrid,
     anchors: np.ndarray | None = None,
@@ -334,12 +343,12 @@ def correlation_means(
     """
     lags, anchors, layout = _correlation_setup(ens, kinds, grid, anchors)
     parts, families = _parts_and_families(kinds)
-    z, m = ens.sample_matrix, layout.m
+    m = layout.m
     sums = {ab: np.zeros((m // 2 + 1, layout.step), dtype=complex) for ab in families}
-    for _, fa, fb in layout.spectra(z, families, _MEANS_TRIAL_CHUNK):
+    for _, fa, fb in layout.spectra(ens, families, _MEANS_TRIAL_CHUNK):
         for ab, total in sums.items():
             total += _trial_sum(fa[ab[0]], fb[ab[1]])
-    count = z.shape[0] * anchors.size
+    count = ens.n_trials * anchors.size
     means = {
         part: sp_fft.irfft(_part_spectrum(part, lambda ab: sums[ab].copy()), m, axis=0)
         .reshape(-1)[lags]
@@ -350,7 +359,7 @@ def correlation_means(
 
 
 def ensemble_correlation(
-    ens: TraceEnsemble,
+    ens: Ensemble,
     kind: str,
     grid: LagGrid,
     anchors: np.ndarray | None = None,
@@ -362,9 +371,10 @@ def ensemble_correlation(
     return CorrelationSeries(kind, "empirical", grid, values, n_trials=ens.n_trials)
 
 
-def ensemble_mean(ens: TraceEnsemble) -> complex:
+def ensemble_mean(ens: Ensemble) -> complex:
     """Mean of z over all trials and times (zero for valid scenarios)."""
-    return complex(ens.sample_matrix.mean())
+    total = sum(block.sum() for _, block in ens.blocks())
+    return complex(total / (ens.n_trials * ens.scenario.n_samples))
 
 
 def decorrelation_stride(scenario) -> int:
@@ -372,15 +382,16 @@ def decorrelation_stride(scenario) -> int:
     return max(1, math.ceil(2.0 / (scenario.doppler_hz * scenario.sample_period_s)))
 
 
-def envelope_picks(ens: TraceEnsemble, stride: int | None = None) -> np.ndarray:
+def envelope_picks(ens: Ensemble, stride: int | None = None) -> np.ndarray:
     """Decorrelated envelope samples, one per stride per trial."""
     if stride is None:
         stride = decorrelation_stride(ens.scenario)
-    return np.abs(ens.sample_matrix[:, ::stride]).ravel()
+    picks = [np.abs(block[:, ::stride]).ravel() for _, block in ens.blocks()]
+    return np.concatenate([np.empty(0), *picks])
 
 
 def envelope_pdf(
-    ens: TraceEnsemble,
+    ens: Ensemble,
     bins: int = 100,
     value_range: tuple[float, float] = (0.0, 3.0),
 ) -> HistogramDensity:
@@ -407,7 +418,7 @@ def envelope_pdf(
 
 
 def per_trial_crossing_rates(
-    ens: TraceEnsemble, thresholds: np.ndarray
+    ens: Ensemble, thresholds: np.ndarray
 ) -> np.ndarray:
     """Normalized upward crossing rates per trial, shape (n_trials, n_thresholds).
 
@@ -420,17 +431,18 @@ def per_trial_crossing_rates(
     if not np.all(thresholds >= 0):  # NaN fails this too
         raise ValueError("thresholds must be >= 0 and not NaN")
     scn = ens.scenario
-    env = np.abs(ens.sample_matrix)
     obs_time = (scn.n_samples - 1) * scn.sample_period_s
     rates = np.empty((ens.n_trials, thresholds.size))
-    for j, rho in enumerate(thresholds):
-        above = env > rho
-        ups = (above[:, 1:] & ~above[:, :-1]).sum(axis=1)
-        rates[:, j] = ups / obs_time / scn.doppler_hz
+    for rows, block in ens.blocks():
+        env = np.abs(block)
+        for j, rho in enumerate(thresholds):
+            above = env > rho
+            ups = (above[:, 1:] & ~above[:, :-1]).sum(axis=1)
+            rates[rows, j] = ups / obs_time / scn.doppler_hz
     return rates
 
 
-def level_crossing_rate(ens: TraceEnsemble, thresholds) -> LcrCurve:
+def level_crossing_rate(ens: Ensemble, thresholds) -> LcrCurve:
     """Trial-averaged normalized level crossing rate curve."""
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
     rates = per_trial_crossing_rates(ens, thresholds).mean(axis=0)

@@ -2,12 +2,16 @@
 
 Each scenario names a channel configuration, the statistics to check, the
 oracle family to check them against, and fixed numeric tolerances.  Running a
-scenario generates its ensemble, estimates every requested statistic, and
-records max-abs and RMS deviations against the oracle.  The correlation
+scenario estimates every requested statistic from its ensemble and records
+max-abs and RMS deviations against the oracle.  The ensemble is a
+``sos.LazyEnsemble``: each estimator synthesizes, reduces and drops one block
+of ``sos.TRIAL_BLOCK`` trials at a time, so no scenario's full ensemble is
+ever in memory, and the results equal those of the in-memory ensemble bit for
+bit.  Each estimator call synthesizes the trials again; the correlation
 statistics of a scenario come from one ``estimators.correlation_means`` call,
-so the harness holds their trial means only, never per-trial values.  A
-failed tolerance is a report entry, never an exception; the overall verdict
-is the AND of all entries.
+so they share one pass, and the harness holds their trial means only, never
+per-trial values.  A failed tolerance is a report entry, never an exception;
+the overall verdict is the AND of all entries.
 
 Oracles, and the statistics each one scores (``STATISTIC_ORACLES``):
   reference_formula    correlations and the envelope density: closed forms of
@@ -338,7 +342,7 @@ def _lcr_consistency_deviation(ensemble, seed_b: int) -> Deviation:
     scenario_b = replace(ensemble.scenario, seed=seed_b)
     per_trial = [
         estimators.per_trial_crossing_rates(ens, LCR_THRESHOLDS)
-        for ens in (ensemble, sos.generate_ensemble(scenario_b))
+        for ens in (ensemble, sos.LazyEnsemble(scenario_b))
     ]
     for j in range(LCR_THRESHOLDS.size):
         a, b = per_trial[0][:, j], per_trial[1][:, j]
@@ -370,8 +374,7 @@ def run_validation(
         scenario_seed = derive_seed(seed, vs.name)
         scn = validate_scenario(replace(vs.scenario, seed=scenario_seed))
         corr_stats = [s for s in vs.statistics if s in theory.CORRELATION_KINDS]
-        ensemble = None  # free the previous scenario's ensemble before synthesis
-        ensemble = sos.generate_ensemble(scn)
+        ensemble = sos.LazyEnsemble(scn)
         grid = default_correlation_grid(scn) if corr_stats else None
         means = {}
         if corr_stats:

@@ -28,6 +28,13 @@ trial is reproducible in isolation and ensembles are independent of execution
 order.  The tone phase rates are the scenario's ``rates``, and a
 ``FadingTrace`` is its samples, trial index and scenario: sample period, seed
 and scenario digest are read off the scenario.
+
+An ensemble is read block by block: ``blocks()`` yields consecutive trials,
+``TRIAL_BLOCK`` at a time, as (rows, samples) pairs.  A ``TraceEnsemble``
+holds its samples in memory and yields row views of them; a ``LazyEnsemble``
+holds only its scenario and synthesizes each block on demand with
+``generate_ensemble(scenario, trials)``, so at most a block or two of its
+trials exist at once.  Both yield the same arrays for the same scenario.
 """
 
 from __future__ import annotations
@@ -41,6 +48,11 @@ from .params import TWO_PI, ValidatedScenario
 
 # Samples per block of the factorized synthesis; see the module docstring.
 BLOCK = 64
+# Trials per block of an ensemble read.  Trial-chunked reductions chunk each
+# block, so this is a multiple of every estimator's trial chunk (8 and 16):
+# their sums then run over the same trials in the same order for every kind
+# of ensemble.  At 40000 samples a block is 10 MB.
+TRIAL_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,25 +95,62 @@ class FadingTrace:
 
 @dataclass(frozen=True, eq=False)
 class TraceEnsemble:
-    """M trials of one scenario, trial indices 0..M-1 in order.
+    """Consecutive trials of one scenario held in memory, in trial order.
 
     ``sample_matrix`` holds the samples as one (n_trials, n_samples) complex
-    array; row i is trial i.
+    array; row i is trial ``first_trial + i``.
     """
 
     sample_matrix: np.ndarray
     scenario: ValidatedScenario
+    first_trial: int = 0
 
     @property
     def traces(self) -> tuple[FadingTrace, ...]:
         """One FadingTrace per trial; each one's samples are a row view."""
         return tuple(
-            FadingTrace(row, i, self.scenario) for i, row in enumerate(self.sample_matrix)
+            FadingTrace(row, self.first_trial + i, self.scenario)
+            for i, row in enumerate(self.sample_matrix)
         )
 
     @property
     def n_trials(self) -> int:
         return self.sample_matrix.shape[0]
+
+    def blocks(self):
+        """Yield (rows, samples) per ``TRIAL_BLOCK`` trials: the slice of
+        ``sample_matrix`` rows and a view of them."""
+        for first in range(0, self.n_trials, TRIAL_BLOCK):
+            rows = slice(first, min(first + TRIAL_BLOCK, self.n_trials))
+            yield rows, self.sample_matrix[rows]
+
+
+@dataclass(frozen=True, eq=False)
+class LazyEnsemble:
+    """All n_trials trials of a scenario, synthesized block by block on read.
+
+    Holds no samples: each ``blocks()`` pass synthesizes its trials again, one
+    ``TRIAL_BLOCK`` at a time, and yields what ``TraceEnsemble.blocks`` of
+    ``generate_ensemble(scenario)`` would, bit for bit.
+    """
+
+    scenario: ValidatedScenario
+
+    @property
+    def n_trials(self) -> int:
+        return self.scenario.n_trials
+
+    def blocks(self):
+        """Yield (rows, samples) per ``TRIAL_BLOCK`` trials: the slice of trial
+        indices and the samples of ``generate_ensemble`` for them."""
+        for first in range(0, self.n_trials, TRIAL_BLOCK):
+            last = min(first + TRIAL_BLOCK, self.n_trials)
+            block = generate_ensemble(self.scenario, range(first, last))
+            yield slice(first, last), block.sample_matrix
+
+
+# What the estimators read: either kind of ensemble.
+Ensemble = TraceEnsemble | LazyEnsemble
 
 
 def _wrap(angles: np.ndarray) -> np.ndarray:
@@ -184,12 +233,29 @@ def generate_trace(scenario: ValidatedScenario, trial_index: int) -> FadingTrace
     return FadingTrace(z, trial_index, scenario)
 
 
-def generate_ensemble(scenario: ValidatedScenario) -> TraceEnsemble:
-    """Generate all n_trials traces into one (n_trials, n_samples) array."""
-    z = np.empty((scenario.n_trials, scenario.n_samples), dtype=complex)
-    for idx in range(scenario.n_trials):
-        z[idx] = generate_trace(scenario, idx).samples
-    return TraceEnsemble(sample_matrix=z, scenario=scenario)
+def generate_ensemble(
+    scenario: ValidatedScenario, trials: range | None = None
+) -> TraceEnsemble:
+    """Generate the traces of ``trials`` (default: all n_trials) into one
+    (len(trials), n_samples) array; row i is ``generate_trace`` of trial
+    ``trials[i]``.  ``trials`` must be a step-1 range inside
+    ``range(n_trials)``.
+    """
+    if trials is None:
+        trials = range(scenario.n_trials)
+    if not (
+        isinstance(trials, range)
+        and trials.step == 1
+        and 0 <= trials.start <= trials.stop <= scenario.n_trials
+    ):
+        raise ValueError(
+            f"trials must be a step-1 range inside range({scenario.n_trials}), "
+            f"got {trials!r}"
+        )
+    z = np.empty((len(trials), scenario.n_samples), dtype=complex)
+    for row, idx in enumerate(trials):
+        z[row] = generate_trace(scenario, idx).samples
+    return TraceEnsemble(sample_matrix=z, scenario=scenario, first_trial=trials.start)
 
 
 def envelope_bound(scenario: ValidatedScenario) -> float:

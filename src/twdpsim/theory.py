@@ -175,7 +175,10 @@ def _panel_means(x: np.ndarray, n: int, order: int) -> np.ndarray:
     h = math.pi / n
     xi, w = _gl_nodes(order)
     cos_g = np.cos(h * xi + TWO_PI * np.arange(1, n + 1)[:, None] / n)
-    return np.exp(1j * x[:, None, None] * cos_g) @ w * (h / TWO_PI)
+    # A real cos and sin of the phase are faster than np.exp of an
+    # imaginary one (numpy 2.4).
+    arg = x[:, None, None] * cos_g
+    return (np.cos(arg) @ w + 1j * (np.sin(arg) @ w)) * (h / TWO_PI)
 
 
 def _fc_fs(x, n: int) -> tuple[np.ndarray, np.ndarray]:

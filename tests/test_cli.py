@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twdpsim import cli, harness
+from twdpsim import cli, estimators, harness, sos
 from twdpsim.cli import ConfigError, cli_dispatch, parse_config
 from twdpsim.estimators import LagError
 from twdpsim.fileio import read_series_csv, read_trace
@@ -216,6 +216,41 @@ class TestCliDispatch:
         cols, rows = read_series_csv(out)
         assert cols == ["lag_s", "fd_tau", "value", "oracle_value"]
         assert np.abs(rows[:, 2] - rows[:, 3]).max() <= 0.05
+
+    @pytest.mark.parametrize("command", ["acf", "pdf", "lcr"])
+    def test_empirical_commands_stream_trial_blocks(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # acf, pdf and lcr synthesize one trial block at a time, and print
+        # what the in-memory ensemble gives, bit for bit.
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("k = 10\ngamma = 0.5\nn_trials = 37\nn_samples = 2001\nseed = 4\n")
+        scn = validate_scenario(parse_config(cfg.read_text()))
+        ens = sos.generate_ensemble(scn)
+        if command == "acf":
+            grid = harness.default_correlation_grid(scn)
+            rzz = estimators.correlation_means(ens, ("rzz",), grid)["rzz"]
+            want = {"value_re": rzz.real, "value_im": rzz.imag}
+        elif command == "pdf":
+            hist = estimators.envelope_pdf(ens, value_range=harness.pdf_range(scn))
+            want = {"density": hist.densities}
+        else:
+            want = {"rate": estimators.level_crossing_rate(ens, harness.LCR_THRESHOLDS).rates}
+        sizes = []
+        original = sos.generate_ensemble
+        monkeypatch.setattr(
+            sos,
+            "generate_ensemble",
+            lambda scn, trials=None: sizes.append(len(trials)) or original(scn, trials),
+        )
+        out = tmp_path / "out.csv"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        assert cli_dispatch(args + (["--kind", "rzz"] if command == "acf" else [])) == 0
+        capsys.readouterr()
+        assert sizes == [16, 16, 5]
+        cols, rows = read_series_csv(out)
+        for name, values in want.items():
+            assert np.array_equal(rows[:, cols.index(name)], values), name
 
     def test_gen_writes_one_file_per_trial(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"

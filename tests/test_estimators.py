@@ -24,7 +24,7 @@ from twdpsim.estimators import (
     per_trial_crossing_rates,
 )
 from twdpsim.params import ChannelParams, make_scenario, validate_scenario
-from twdpsim.sos import generate_ensemble
+from twdpsim.sos import TRIAL_BLOCK, LazyEnsemble, generate_ensemble
 from twdpsim.theory import (
     LagGrid,
     envelope_cdf_reference,
@@ -469,6 +469,34 @@ class TestEnsembleCorrelationStatistical:
         assert per_trial.shape == (500, len(corr_grid))
         series = ensemble_correlation(ens, "rxx", corr_grid)
         assert np.allclose(per_trial.mean(0), series.values, rtol=0, atol=1e-12)
+
+
+class TestLazyEnsemble:
+    def test_trial_chunks_divide_the_block(self):
+        # Chunked trial sums then run over the same trials in the same order
+        # for in-memory and lazy ensembles.
+        assert TRIAL_BLOCK % estimators._MEANS_TRIAL_CHUNK == 0
+        assert TRIAL_BLOCK % estimators._FFT_TRIAL_CHUNK == 0
+
+    @pytest.mark.parametrize("n_trials", [1, 37])
+    def test_every_estimator_matches_the_in_memory_ensemble(self, n_trials):
+        scn = synth_scenario(n_trials, 900, k=10.0)
+        lazy, held = LazyEnsemble(scn), generate_ensemble(scn)
+        grid = small_grid(scn, 101)
+        a = per_trial_correlations(lazy, ESTIMATOR_KINDS, grid)
+        b = per_trial_correlations(held, ESTIMATOR_KINDS, grid)
+        for kind in ESTIMATOR_KINDS:
+            assert np.array_equal(a[kind], b[kind]), kind
+        a = correlation_means(lazy, ESTIMATOR_KINDS, grid, anchors=[3, 7, 11, 300])
+        b = correlation_means(held, ESTIMATOR_KINDS, grid, anchors=[3, 7, 11, 300])
+        for kind in ESTIMATOR_KINDS:
+            assert np.array_equal(a[kind], b[kind]), kind
+        assert np.array_equal(envelope_picks(lazy), envelope_picks(held))
+        assert ensemble_mean(lazy) == ensemble_mean(held)
+        thresholds = np.array([0.5, 1.0, 1.5])
+        a, b = level_crossing_rate(lazy, thresholds), level_crossing_rate(held, thresholds)
+        assert np.array_equal(a.rates, b.rates)
+        assert a.observation_time_s == b.observation_time_s
 
 
 class TestEnsembleMean:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from twdpsim import estimators, sos, theory
 from twdpsim.harness import (
+    CORRELATION_STATS,
     LCR_THRESHOLDS,
     PDF_BINS,
     PDF_RANGE,
@@ -249,6 +251,70 @@ class TestRunValidation:
         run_validation(scenarios, seed=5)
         expected = [vs.statistics for vs in scenarios if "lcr" not in vs.statistics]
         assert len(expected) == 4 and calls == expected
+
+    @pytest.mark.parametrize("n_trials", [37, 1])
+    def test_streaming_changes_no_number(self, n_trials, monkeypatch):
+        # Every estimator call of run_validation reads a lazy ensemble; each
+        # result equals the in-memory ensemble's bit for bit.  37 and 1 are
+        # not multiples of the trial block.
+        def scenario(name, stats, oracle, n_samples):
+            cfg = make_scenario(k=10.0, gamma=0.5, n_trials=n_trials, n_samples=n_samples)
+            tols = {stat: Tolerance(10.0, 10.0) for stat in stats}
+            return ValidationScenario(name, cfg, stats, tols, oracle)
+
+        suite = [
+            scenario("corr", CORRELATION_STATS, "simulator_formula", 2001),
+            scenario("pdf", ("pdf",), "reference_formula", 4000),
+            scenario("lcr", ("lcr",), "self_consistency", 2001),
+        ]
+        calls = []
+        for name in ("correlation_means", "envelope_pdf", "per_trial_crossing_rates"):
+            original = getattr(estimators, name)
+
+            def recorded(ens, *args, _original=original, **kwargs):
+                result = _original(ens, *args, **kwargs)
+                calls.append((_original, ens, args, kwargs, result))
+                return result
+
+            monkeypatch.setattr(estimators, name, recorded)
+        report = run_validation(suite, seed=8)
+        assert len(report.records) == len(CORRELATION_STATS) + 2
+        assert [call[0].__name__ for call in calls] == [
+            "correlation_means", "envelope_pdf",
+            "per_trial_crossing_rates", "per_trial_crossing_rates",
+        ]
+        lcr_seeds = {call[1].scenario.seed for call in calls[2:]}
+        assert lcr_seeds == {derive_seed(8, "lcr"), derive_seed(8, "lcr/b")}
+        for fn, ens, args, kwargs, streamed in calls:
+            assert isinstance(ens, sos.LazyEnsemble)
+            held = fn(sos.generate_ensemble(ens.scenario), *args, **kwargs)
+            if isinstance(held, dict):
+                assert held.keys() == streamed.keys()
+                for kind in held:
+                    assert np.array_equal(held[kind], streamed[kind]), kind
+            elif isinstance(held, estimators.HistogramDensity):
+                assert np.array_equal(held.bin_edges, streamed.bin_edges)
+                assert np.array_equal(held.densities, streamed.densities)
+                assert held.n_samples == streamed.n_samples
+            else:
+                assert np.array_equal(held, streamed)
+
+    @pytest.mark.parametrize(
+        "stat, oracle", [("pdf", "reference_formula"), ("lcr", "self_consistency")]
+    )
+    def test_memory_stays_within_a_few_trial_blocks(self, stat, oracle):
+        # The 96 x 40000 ensemble would take 61 MB; the harness holds at most
+        # two of its 10 MB trial blocks and their reductions at a time.
+        cfg = make_scenario(k=10.0, gamma=1.0, n_trials=96, n_samples=40000)
+        vs = ValidationScenario("big", cfg, (stat,), {stat: Tolerance(10.0, 10.0)}, oracle)
+        tracemalloc.start()
+        try:
+            (rec,) = run_validation([vs], seed=1).records
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.passed
+        assert peak < 3 * sos.TRIAL_BLOCK * cfg.n_samples * 16
 
     def test_seed_changes_report(self):
         scenarios = [

@@ -6,7 +6,9 @@ import pytest
 from twdpsim.params import ChannelParams, make_scenario, validate_scenario
 from twdpsim.sos import (
     BLOCK,
+    TRIAL_BLOCK,
     DiffuseRealization,
+    LazyEnsemble,
     diffuse_sample,
     draw_trial_randoms,
     envelope_bound,
@@ -223,6 +225,22 @@ class TestGenerateEnsemble:
         digests = {t.scenario_digest for t in ens.traces}
         assert len(digests) == 1
 
+    def test_trial_range_is_those_trials_only(self):
+        scn = small_scenario(n_trials=9, n_samples=300)
+        ens = generate_ensemble(scn, range(3, 8))
+        assert ens.sample_matrix.shape == (5, 300) and ens.first_trial == 3
+        assert [t.trial_index for t in ens.traces] == [3, 4, 5, 6, 7]
+        for tr in ens.traces:
+            assert np.array_equal(tr.samples, generate_trace(scn, tr.trial_index).samples)
+        assert generate_ensemble(scn, range(9, 9)).sample_matrix.shape == (0, 300)
+
+    @pytest.mark.parametrize(
+        "trials", [range(0, 10), range(0, 9, 2), range(-1, 3), range(5, 3), [0, 1]]
+    )
+    def test_trial_range_outside_the_scenario_rejected(self, trials):
+        with pytest.raises(ValueError, match=r"step-1 range inside range\(9\)"):
+            generate_ensemble(small_scenario(n_trials=9, n_samples=300), trials)
+
     def test_power_normalization_m500(self):
         scn = validate_scenario(
             make_scenario(k=10.0, gamma=0.5, n_trials=500, n_samples=2001, seed=31)
@@ -267,3 +285,24 @@ class TestGenerateEnsemble:
                 power = np.mean(np.abs(generate_ensemble(scn).sample_matrix) ** 2)
                 devs[m].append(abs(power - 1.0))
         assert np.mean(devs[2000]) < np.mean(devs[500])
+
+
+class TestEnsembleBlocks:
+    @pytest.mark.parametrize("n_trials", [1, TRIAL_BLOCK, 37])
+    def test_lazy_blocks_equal_in_memory_blocks(self, n_trials):
+        scn = small_scenario(n_trials=n_trials, n_samples=300)
+        lazy = list(LazyEnsemble(scn).blocks())
+        held = list(generate_ensemble(scn).blocks())
+        assert [rows for rows, _ in lazy] == [rows for rows, _ in held]
+        assert [rows.stop - rows.start for rows, _ in held] == [
+            min(TRIAL_BLOCK, n_trials - first) for first in range(0, n_trials, TRIAL_BLOCK)
+        ]
+        for (_, a), (_, b) in zip(lazy, held):
+            assert np.array_equal(a, b)
+        assert LazyEnsemble(scn).n_trials == n_trials
+
+    def test_in_memory_blocks_are_row_views(self):
+        ens = generate_ensemble(small_scenario(n_trials=20, n_samples=100))
+        for rows, block in ens.blocks():
+            assert np.shares_memory(block, ens.sample_matrix)
+            assert np.array_equal(block, ens.sample_matrix[rows])
