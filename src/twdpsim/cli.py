@@ -2,8 +2,9 @@
 statistics, and the validation suite.
 
 Subcommands: gen, theory, acf, pdf, lcr, validate.  Exit status 0 on success,
-1 when the validation verdict fails, 2 for usage or configuration errors and
-for any input the library rejects (its errors derive from ValueError).
+1 when the validation verdict fails, 2 for usage or configuration errors, for
+any input the library rejects (its errors derive from ValueError) and for a
+scenario too large to allocate.
 Every run logs the fully resolved scenario (post-defaults) to stderr so any
 output can be reproduced from the log alone.
 """
@@ -24,6 +25,7 @@ from .params import (
     ChannelParams,
     ParameterError,
     ScenarioConfig,
+    ValidatedScenario,
     make_scenario,
     validate_scenario,
 )
@@ -105,13 +107,16 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _load_scenario(args) -> ScenarioConfig:
+def _load_scenario(args) -> ValidatedScenario:
+    """The validated scenario of ``--config`` and ``--seed``, logged."""
     text = Path(args.config).read_text() if args.config else ""
     cfg = parse_config(text)
     seed = getattr(args, "seed", None)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    return cfg
+    scn = validate_scenario(cfg)
+    _log_scenario(scn)
+    return scn
 
 
 def _log_scenario(scn) -> None:
@@ -129,15 +134,18 @@ def _write_table(args, columns, rows) -> None:
         fileio.write_series_csv(sink, columns, rows)
 
 
-def _oracle_values(kind: str, scn, grid, oracle: str) -> list[np.ndarray]:
-    """Closed-form columns for a CLI kind; rzz gives its real and imaginary parts."""
-    parts = ("rzz_re", "rzz_im") if kind == "rzz" else (kind,)
-    return [harness.oracle_series(part, scn, grid, oracle).values for part in parts]
+# Per CLI kind, the real parts it prints, each as (estimator kind, value
+# column, oracle column): rzz prints its real and imaginary parts.
+_CLI_PARTS = {
+    "rxx": (("rxx", "value", "oracle_value"),),
+    "rxy": (("rxy", "value", "oracle_value"),),
+    "rzz": (("rzz_re", "value_re", "oracle_re"), ("rzz_im", "value_im", "oracle_im")),
+    "rsq": (("rsq", "value", "oracle_value"),),
+}
 
 
 def _cmd_gen(args) -> int:
-    scn = validate_scenario(_load_scenario(args))
-    _log_scenario(scn)
+    scn = _load_scenario(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx in range(scn.n_trials):
@@ -148,40 +156,34 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    scn = validate_scenario(_load_scenario(args))
-    _log_scenario(scn)
+    scn = _load_scenario(args)
     grid = harness.default_correlation_grid(scn, cap_to_trace=False)
-    values = _oracle_values(args.kind, scn, grid, f"{args.model}_formula")
-    if args.kind == "rzz":
-        columns = ["lag_s", "fd_tau", "value_re", "value_im"]
-    else:
-        columns = ["lag_s", "fd_tau", "value"]
+    parts, value_columns, _ = zip(*_CLI_PARTS[args.kind])
+    oracle = f"{args.model}_formula"
+    values = [harness.oracle_series(part, scn, grid, oracle).values for part in parts]
+    columns = ["lag_s", "fd_tau", *value_columns]
     _write_table(args, columns, np.column_stack([grid.lags_s, grid.fd_tau, *values]))
     return 0
 
 
 def _cmd_acf(args) -> int:
-    scn = validate_scenario(_load_scenario(args))
-    _log_scenario(scn)
+    scn = _load_scenario(args)
     grid = harness.default_correlation_grid(scn)
-    ens = sos.LazyEnsemble(scn)
-    oracle = _oracle_values(args.kind, scn, grid, "simulator_formula")
-    if args.kind == "rzz":
-        mean = estimators.correlation_means(ens, ("rzz",), grid)["rzz"]
-        columns = ["lag_s", "fd_tau", "value_re", "value_im", "oracle_re", "oracle_im"]
-        values = [mean.real, mean.imag]
-    else:
-        empirical = estimators.ensemble_correlation(ens, args.kind, grid)
-        columns = ["lag_s", "fd_tau", "value", "oracle_value"]
-        values = [empirical.values]
+    parts, value_columns, oracle_columns = zip(*_CLI_PARTS[args.kind])
+    oracle = [
+        harness.oracle_series(part, scn, grid, "simulator_formula").values
+        for part in parts
+    ]
+    means = estimators.correlation_means(sos.LazyEnsemble(scn), parts, grid)
+    columns = ["lag_s", "fd_tau", *value_columns, *oracle_columns]
+    values = [means[part] for part in parts]
     rows = np.column_stack([grid.lags_s, grid.fd_tau, *values, *oracle])
     _write_table(args, columns, rows)
     return 0
 
 
 def _cmd_pdf(args) -> int:
-    scn = validate_scenario(_load_scenario(args))
-    _log_scenario(scn)
+    scn = _load_scenario(args)
     ens = sos.LazyEnsemble(scn)
     hist = estimators.envelope_pdf(ens, bins=args.bins, value_range=harness.pdf_range(scn))
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
@@ -195,8 +197,7 @@ def _cmd_pdf(args) -> int:
 
 
 def _cmd_lcr(args) -> int:
-    scn = validate_scenario(_load_scenario(args))
-    _log_scenario(scn)
+    scn = _load_scenario(args)
     ens = sos.LazyEnsemble(scn)
     curve = estimators.level_crossing_rate(ens, harness.LCR_THRESHOLDS)
     if scn.params.v1 == 0 and scn.params.v2 == 0:
@@ -268,12 +269,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_theory = sub.add_parser("theory", help="closed-form correlation series")
     common(p_theory, needs_seed=False)
-    p_theory.add_argument("--kind", choices=("rxx", "rxy", "rzz", "rsq"), required=True)
+    p_theory.add_argument("--kind", choices=tuple(_CLI_PARTS), required=True)
     p_theory.add_argument("--model", choices=("reference", "simulator"), default="reference")
 
     p_acf = sub.add_parser("acf", help="empirical correlation with oracle columns")
     common(p_acf)
-    p_acf.add_argument("--kind", choices=("rxx", "rxy", "rzz", "rsq"), required=True)
+    p_acf.add_argument("--kind", choices=tuple(_CLI_PARTS), required=True)
 
     p_pdf = sub.add_parser("pdf", help="envelope histogram with reference density")
     common(p_pdf)
@@ -307,7 +308,7 @@ def cli_dispatch(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ n_d = (last - start) // step + 1 points.  Lag l = step*j + q then reads phase q
 of the trace, the samples start + step*r + q, so each family is lag j of a
 short correlation of the anchor samples with one phase (polyphase
 decomposition; Vaidyanathan, *Multirate Systems and Filter Banks*, 1993).  Per
-trial chunk, each sequence a family reads is transformed once with rfft at
+trial block, each sequence a family reads is transformed once with rfft at
 length m = next_fast_len(n_d + max_lag // step, real=True): on the anchor
 grid d = mask*a when a is a left sequence, and as step phases of that length
 when it is a right one.  Family ab has the spectrum conj(F(d_a)) F(b).  No sum
@@ -42,11 +42,11 @@ Two reductions share those spectra:
 No complex transform is taken.
 
 Every estimator reads its ensemble through ``blocks()`` (see ``sos``), a
-block of ``sos.TRIAL_BLOCK`` trials at a time, so a ``LazyEnsemble`` is never
-whole in memory: per-trial results are filled in block by block, trial sums
-run over chunks of each block in trial order, and envelope picks are taken
-per block.  The trial chunks below divide the block, so every result is the
-same, bit for bit, for an in-memory and a lazy ensemble of one scenario.
+block of ``sos.TRIAL_BLOCK`` trials at a time, and reduces each block as one
+unit, so a ``LazyEnsemble`` is never whole in memory: per-trial results are
+filled in block by block, trial sums add one block after another in trial
+order, and envelope picks are taken per block.  Every result is therefore
+the same, bit for bit, for an in-memory and a lazy ensemble of one scenario.
 """
 
 from __future__ import annotations
@@ -62,18 +62,6 @@ from .sos import Ensemble
 from .theory import CorrelationSeries, LagGrid
 
 DEFAULT_ANCHOR_STRIDE = 10
-# Trials per chunk of the per-trial path.  One kind at 500x6001 (best of 5,
-# 2-vCPU Xeon) took 0.039 s (rxx) and 0.052 s (rsq) at 16, 0.043/0.058 s at
-# 32, 0.044/0.067 s at 64 and 0.052/0.071 s at 128; the analysis benchmark's
-# peak RSS read 171.6, 172.2 and 177.0 MB at 16, 32 and 64.
-_FFT_TRIAL_CHUNK = 16
-# correlation_means keeps no per-trial rows, so its chunks can be small.  Its
-# freed workspace stays on the heap when it is smaller than glibc's trim
-# threshold, and so adds to every later peak: the validate benchmark's peak
-# RSS read 132.3, 133.0 and 136.6 MB at 4, 8 and 16 trials per chunk.  The
-# five harness statistics at 500x6001 took 0.080, 0.076, 0.074 and 0.085 s
-# at 4, 8, 16 and 32 (best of 7).
-_MEANS_TRIAL_CHUNK = 8
 
 # The three real sequences of z = x + jy that every kind correlates.
 _SEQUENCES = {
@@ -189,43 +177,41 @@ class _Polyphase:
     span: int
     m: int
 
-    def spectra(self, ens: Ensemble, families, chunk: int):
-        """Yield (trials, left, right) per chunk of at most ``chunk`` trials
-        of each block of ``ens``: the chunk's slice of trials and the
-        transforms ``families`` read.
+    def spectra(self, ens: Ensemble, families):
+        """Yield (trials, left, right) per block of ``ens``: the block's
+        slice of trials and the transforms ``families`` read.
 
         left[a] is conj(F(d)) of d = mask*a on the anchor grid, shape
         (trials, m//2 + 1), and right[b] is F(b) of b from ``start`` as
         (trials, m, step) phases, zero past the samples the sums read, shape
         (trials, m//2 + 1, step).  Family ab has the spectrum
         left[a][:, :, None] * right[b].  Each sequence is formed and
-        transformed once per chunk, however many families read it.  The two
-        dicts are refilled for every chunk: read them before the next.
+        transformed once per block, however many families read it.  The two
+        dicts are refilled for every block: read them before the next.
         """
         left, right = {ab[0] for ab in families}, {ab[1] for ab in families}
-        # z from ``start``, filled up to ``span`` per chunk; the rest stays
+        # z from ``start``, filled up to ``span`` per block; the rest stays
         # zero, and so does every sequence formed from it.
-        phases = np.zeros((chunk, self.m * self.step), dtype=complex)
+        phases = np.zeros((0, self.m * self.step), dtype=complex)
         fa, fb = {}, {}
-        for block_rows, block in ens.blocks():
-            for first in range(0, len(block), chunk):
-                # Refill the yielded dicts, so the last chunk's spectra are
-                # freed before this chunk's are made.
-                fa.clear()
-                fb.clear()
-                rows = min(chunk, len(block) - first)
-                samples = block[first : first + rows, self.start : self.start + self.span]
-                phases[:rows, : self.span] = samples
-                for name in sorted(left | right):
-                    seq = _SEQUENCES[name](phases[:rows])
-                    if name in right:
-                        fb[name] = sp_fft.rfft(seq.reshape(rows, self.m, self.step), axis=1)
-                    if name in left:
-                        d = seq[:, :: self.step][:, : self.mask.size] * self.mask
-                        fa[name] = sp_fft.rfft(d, self.m, axis=1)
-                        np.conjugate(fa[name], out=fa[name])
-                trial = block_rows.start + first
-                yield slice(trial, trial + rows), fa, fb
+        for trials, block in ens.blocks():
+            # Refill the yielded dicts, so the last block's spectra are freed
+            # before this block's are made.
+            fa.clear()
+            fb.clear()
+            rows = len(block)
+            if rows > len(phases):
+                phases = np.zeros((rows, self.m * self.step), dtype=complex)
+            phases[:rows, : self.span] = block[:, self.start : self.start + self.span]
+            for name in sorted(left | right):
+                seq = _SEQUENCES[name](phases[:rows])
+                if name in right:
+                    fb[name] = sp_fft.rfft(seq.reshape(rows, self.m, self.step), axis=1)
+                if name in left:
+                    d = seq[:, :: self.step][:, : self.mask.size] * self.mask
+                    fa[name] = sp_fft.rfft(d, self.m, axis=1)
+                    np.conjugate(fa[name], out=fa[name])
+            yield trials, fa, fb
 
 
 def _correlation_setup(ens: Ensemble, kinds, grid: LagGrid, anchors):
@@ -288,7 +274,7 @@ def per_trial_correlations(
 ) -> dict[str, np.ndarray]:
     """Anchor-averaged lag products per trial for several kinds at once.
 
-    Returns {kind: (n_trials, n_lags) array}.  Per trial chunk every sequence
+    Returns {kind: (n_trials, n_lags) array}.  Per trial block every sequence
     is transformed once, and each distinct kind part (rzz_re and the real
     part of rzz are one) gets one inverse transform per trial, so every array
     equals its :func:`per_trial_correlation` bit for bit.  For trial means
@@ -299,7 +285,7 @@ def per_trial_correlations(
     # Fortran order keeps each lag's trials contiguous, so a mean over trials
     # sums them pairwise; the digits of every reported mean depend on it.
     values = {part: np.empty((ens.n_trials, lags.size), order="F") for part in parts}
-    for trials, fa, fb in layout.spectra(ens, families, _FFT_TRIAL_CHUNK):
+    for trials, fa, fb in layout.spectra(ens, families):
         for part, out in values.items():
             spectrum = _part_spectrum(part, lambda ab: fb[ab[1]] * fa[ab[0]][:, :, None])
             sums = sp_fft.irfft(spectrum, layout.m, axis=1).reshape(len(spectrum), -1)
@@ -345,7 +331,7 @@ def correlation_means(
     parts, families = _parts_and_families(kinds)
     m = layout.m
     sums = {ab: np.zeros((m // 2 + 1, layout.step), dtype=complex) for ab in families}
-    for _, fa, fb in layout.spectra(ens, families, _MEANS_TRIAL_CHUNK):
+    for _, fa, fb in layout.spectra(ens, families):
         for ab, total in sums.items():
             total += _trial_sum(fa[ab[0]], fb[ab[1]])
     count = ens.n_trials * anchors.size

@@ -5,13 +5,14 @@ oracle family to check them against, and fixed numeric tolerances.  Running a
 scenario estimates every requested statistic from its ensemble and records
 max-abs and RMS deviations against the oracle.  The ensemble is a
 ``sos.LazyEnsemble``: each estimator synthesizes, reduces and drops one block
-of ``sos.TRIAL_BLOCK`` trials at a time, so no scenario's full ensemble is
-ever in memory, and the results equal those of the in-memory ensemble bit for
-bit.  Each estimator call synthesizes the trials again; the correlation
-statistics of a scenario come from one ``estimators.correlation_means`` call,
-so they share one pass, and the harness holds their trial means only, never
-per-trial values.  A failed tolerance is a report entry, never an exception;
-the overall verdict is the AND of all entries.
+of ``sos.TRIAL_BLOCK`` trials at a time, the one trial grain of every
+reduction, so no scenario's full ensemble is ever in memory, and the results
+equal those of the in-memory ensemble bit for bit.  Each estimator call
+synthesizes the trials again; the correlation statistics of a scenario come
+from one ``estimators.correlation_means`` call, so they share one pass, and
+the harness holds their trial means only, never per-trial values.  A failed
+tolerance is a report entry, never an exception; the overall verdict is the
+AND of all entries.
 
 Oracles, and the statistics each one scores (``STATISTIC_ORACLES``):
   reference_formula    correlations and the envelope density: closed forms of
@@ -159,14 +160,19 @@ class ValidationReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _deviation(diff) -> Deviation:
+    """Max-abs and RMS of the deviations ``diff``."""
+    diff = np.abs(diff)
+    return Deviation(float(diff.max()), float(math.sqrt(np.mean(diff ** 2))))
+
+
 def compare_series(a: CorrelationSeries, b: CorrelationSeries) -> Deviation:
     """Max-abs and RMS deviation between two series on identical grids."""
     if a.kind != b.kind:
         raise ValueError(f"kind mismatch: {a.kind!r} vs {b.kind!r}")
     if len(a.grid) != len(b.grid) or not np.array_equal(a.grid.lags_s, b.grid.lags_s):
         raise ValueError("lag grids differ")
-    diff = np.abs(a.values - b.values)
-    return Deviation(float(diff.max()), float(math.sqrt(np.mean(diff ** 2))))
+    return _deviation(a.values - b.values)
 
 
 # Tolerances for the builtin suite, sized from the estimator standard errors
@@ -323,16 +329,13 @@ def _pdf_deviation(ensemble, oracle: str) -> Deviation:
         oracle_cdf = theory.envelope_cdf_simulator(scn.params, scn.n_sinusoids, edges)
     else:
         oracle_cdf = theory.envelope_cdf_reference(scn.params, edges)
-    emp_cdf = hist.cdf_at_edges()[1:]
-    diff = np.abs(emp_cdf - oracle_cdf)
-    return Deviation(float(diff.max()), float(math.sqrt(np.mean(diff ** 2))))
+    return _deviation(hist.cdf_at_edges()[1:] - oracle_cdf)
 
 
 def _lcr_oracle_deviation(ensemble) -> Deviation:
     curve = estimators.level_crossing_rate(ensemble, LCR_ORACLE_THRESHOLDS)
     oracle = theory.rayleigh_lcr_oracle(LCR_ORACLE_THRESHOLDS)
-    rel = np.abs(curve.rates - oracle) / oracle
-    return Deviation(float(rel.max()), float(math.sqrt(np.mean(rel ** 2))))
+    return _deviation((curve.rates - oracle) / oracle)
 
 
 def _lcr_consistency_deviation(ensemble, seed_b: int) -> Deviation:
@@ -356,8 +359,7 @@ def _lcr_consistency_deviation(ensemble, seed_b: int) -> Deviation:
             zscores.append(0.0 if diff == 0.0 else math.inf)
         else:
             zscores.append(diff / se)
-    z = np.asarray(zscores)
-    return Deviation(float(z.max()), float(math.sqrt(np.mean(z ** 2))))
+    return _deviation(zscores)
 
 
 def run_validation(

@@ -247,7 +247,9 @@ class TestCliDispatch:
         args = [command, "--config", str(cfg), "--out", str(out)]
         assert cli_dispatch(args + (["--kind", "rzz"] if command == "acf" else [])) == 0
         capsys.readouterr()
-        assert sizes == [16, 16, 5]
+        assert sizes == [
+            min(sos.TRIAL_BLOCK, 37 - first) for first in range(0, 37, sos.TRIAL_BLOCK)
+        ]
         cols, rows = read_series_csv(out)
         for name, values in want.items():
             assert np.array_equal(rows[:, cols.index(name)], values), name
@@ -344,11 +346,24 @@ class TestCliDispatch:
         assert cli_dispatch(argv) == 2
         assert "exceeds the node budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["acf", "--kind", "rxx"], ["pdf"], ["lcr"], ["gen"]],
+        ids=lambda command: command[0],
+    )
+    def test_scenario_too_large_to_allocate_exits_2(self, command, tmp_path, capsys):
+        # numpy refuses arrays of this size before touching memory.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("n_samples = 1000000000000000\nn_trials = 2\n")
+        argv = command + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert cli_dispatch(argv) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+
     def test_lag_error_exits_2(self, small_cfg, monkeypatch, capsys):
         def reject(*args, **kwargs):
             raise LagError("anchor set is empty")
 
-        monkeypatch.setattr(cli.estimators, "ensemble_correlation", reject)
+        monkeypatch.setattr(cli.estimators, "correlation_means", reject)
         assert cli_dispatch(["acf", "--kind", "rxx", "--config", str(small_cfg)]) == 2
         assert "error: anchor set is empty" in capsys.readouterr().err
 

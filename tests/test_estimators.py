@@ -472,11 +472,20 @@ class TestEnsembleCorrelationStatistical:
 
 
 class TestLazyEnsemble:
-    def test_trial_chunks_divide_the_block(self):
-        # Chunked trial sums then run over the same trials in the same order
-        # for in-memory and lazy ensembles.
-        assert TRIAL_BLOCK % estimators._MEANS_TRIAL_CHUNK == 0
-        assert TRIAL_BLOCK % estimators._FFT_TRIAL_CHUNK == 0
+    def test_per_trial_rows_do_not_depend_on_the_block(self):
+        # Trials 5..12 straddle a block boundary of the 37-trial ensemble but
+        # are one block of their own ensemble; every per-trial row is the
+        # same either way, so the block size moves no per-trial number.
+        trials = range(5, 13)
+        assert trials.start // TRIAL_BLOCK != (trials.stop - 1) // TRIAL_BLOCK
+        scn = synth_scenario(37, 900, k=10.0)
+        grid = small_grid(scn, 101)
+        whole = per_trial_correlations(generate_ensemble(scn), ESTIMATOR_KINDS, grid)
+        part = per_trial_correlations(
+            generate_ensemble(scn, trials), ESTIMATOR_KINDS, grid
+        )
+        for kind in ESTIMATOR_KINDS:
+            assert np.array_equal(whole[kind][5:13], part[kind]), kind
 
     @pytest.mark.parametrize("n_trials", [1, 37])
     def test_every_estimator_matches_the_in_memory_ensemble(self, n_trials):

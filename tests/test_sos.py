@@ -288,7 +288,7 @@ class TestGenerateEnsemble:
 
 
 class TestEnsembleBlocks:
-    @pytest.mark.parametrize("n_trials", [1, TRIAL_BLOCK, 37])
+    @pytest.mark.parametrize("n_trials", [1, TRIAL_BLOCK, 16, 37])
     def test_lazy_blocks_equal_in_memory_blocks(self, n_trials):
         scn = small_scenario(n_trials=n_trials, n_samples=300)
         lazy = list(LazyEnsemble(scn).blocks())
