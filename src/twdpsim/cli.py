@@ -21,7 +21,6 @@ import numpy as np
 
 from . import estimators, fileio, harness, sos, theory
 from .params import (
-    DEFAULT_DOPPLER_HZ,
     ChannelParams,
     ParameterError,
     ScenarioConfig,
@@ -92,10 +91,6 @@ def parse_config(text: str) -> ScenarioConfig:
             "ambiguous channel specification: give (k, gamma, omega) or "
             "(v1, v2, diffuse_power), not both"
         )
-    # make_scenario divides fd_ts by doppler_hz.
-    doppler_hz = values.get("doppler_hz", DEFAULT_DOPPLER_HZ)
-    if doppler_hz <= 0:
-        raise ConfigError(f"doppler_hz must be > 0, got {doppler_hz}")
     kwargs = {_RADIAN_KEYS.get(key, key): value for key, value in values.items()}
     try:
         if components_given:
@@ -147,9 +142,10 @@ _CLI_PARTS = {
 def _cmd_gen(args) -> int:
     scn = _load_scenario(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for idx in range(scn.n_trials):
         trace = sos.generate_trace(scn, idx)
+        if idx == 0:  # a scenario that fails leaves no directory behind
+            out_dir.mkdir(parents=True, exist_ok=True)
         fileio.write_trace(trace, out_dir / f"trace_{idx:05d}.twdptrc")
     print(f"wrote {scn.n_trials} trace files to {out_dir}")
     return 0
@@ -214,15 +210,7 @@ def _cmd_lcr(args) -> int:
 def _cmd_validate(args) -> int:
     if args.config:
         cfg = parse_config(Path(args.config).read_text())
-        scenarios = [
-            harness.ValidationScenario(
-                name="configured",
-                scenario=cfg,
-                statistics=harness.CORRELATION_STATS,
-                tolerances={s: harness.CORRELATION_TOL for s in harness.CORRELATION_STATS},
-                oracle="simulator_formula",
-            )
-        ]
+        scenarios = [harness.correlation_scenario("configured", cfg)]
     else:
         scenarios = harness.builtin_scenarios()
     seed = args.seed if args.seed is not None else 0
@@ -231,6 +219,8 @@ def _cmd_validate(args) -> int:
         "per-scenario seeds appear in the report",
         file=sys.stderr,
     )
+    for vs in scenarios:
+        _log_scenario(harness.resolve_scenario(vs, seed))
     report = harness.run_validation(scenarios, seed)
     payload = report.to_json()
     if args.out:

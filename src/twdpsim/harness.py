@@ -14,6 +14,10 @@ the harness holds their trial means only, never per-trial values.  A failed
 tolerance is a report entry, never an exception; the overall verdict is the
 AND of all entries.
 
+The CLI shares these rules: ``correlation_scenario`` builds the builtin and
+the ``validate --config`` correlation checks, and ``resolve_scenario`` is the
+scenario ``run_validation`` runs, at its derived seed, and ``validate`` logs.
+
 Oracles, and the statistics each one scores (``STATISTIC_ORACLES``):
   reference_formula    correlations and the envelope density: closed forms of
                        the ideal (Gaussian-diffuse) channel
@@ -43,17 +47,11 @@ from .params import (
     DEFAULT_AOA1,
     DEFAULT_AOA2,
     ScenarioConfig,
+    ValidatedScenario,
     make_scenario,
     validate_scenario,
 )
 from .theory import CorrelationSeries, LagGrid
-
-ORACLES = (
-    "reference_formula",
-    "simulator_formula",
-    "closed_form_oracle",
-    "self_consistency",
-)
 
 # The oracles that can score each statistic.  Correlations and the envelope
 # density have closed forms for both channels; the only crossing-rate law is
@@ -63,6 +61,7 @@ STATISTIC_ORACLES = {
     **dict.fromkeys((*theory.CORRELATION_KINDS, "pdf"), _FORMULAS),
     "lcr": ("closed_form_oracle", "self_consistency"),
 }
+ORACLES = tuple(dict.fromkeys(o for pair in STATISTIC_ORACLES.values() for o in pair))
 
 ANCHOR_POLICY = (
     "ensemble average over trials and over anchor times every 10th sample, "
@@ -188,6 +187,17 @@ _PDF_N_SAMPLES = 40000
 _LCR_N_SAMPLES = 10000
 
 
+def correlation_scenario(
+    name: str, scenario: ScenarioConfig, notes: str = ""
+) -> ValidationScenario:
+    """The correlation check of ``scenario``: every one of CORRELATION_STATS
+    against the finite-N formulas, at CORRELATION_TOL."""
+    tolerances = dict.fromkeys(CORRELATION_STATS, CORRELATION_TOL)
+    return ValidationScenario(
+        name, scenario, CORRELATION_STATS, tolerances, "simulator_formula", notes
+    )
+
+
 def builtin_scenarios() -> list[ValidationScenario]:
     """The standard desk-scale suite.
 
@@ -197,7 +207,6 @@ def builtin_scenarios() -> list[ValidationScenario]:
     TWDP figure geometries.  Everything runs at the common defaults (8
     sinusoids, 500 trials, f_D*T_s = 0.01, f_D = 1 kHz).
     """
-    corr_tols = {stat: CORRELATION_TOL for stat in CORRELATION_STATS}
     scenarios = []
     combos = [
         ("corr-rayleigh", 0.0, 0.0, ""),
@@ -211,16 +220,8 @@ def builtin_scenarios() -> list[ValidationScenario]:
         ("corr-twdp-k10-g10", 10.0, 1.0, ""),
     ]
     for name, k, gamma, notes in combos:
-        scenarios.append(
-            ValidationScenario(
-                name=name,
-                scenario=make_scenario(k=k, gamma=gamma, n_samples=_CORR_N_SAMPLES),
-                statistics=CORRELATION_STATS,
-                tolerances=corr_tols,
-                oracle="simulator_formula",
-                notes=notes,
-            )
-        )
+        scenario = make_scenario(k=k, gamma=gamma, n_samples=_CORR_N_SAMPLES)
+        scenarios.append(correlation_scenario(name, scenario, notes))
     scenarios.append(
         ValidationScenario(
             name="pdf-twdp-k10-g10",
@@ -267,6 +268,12 @@ def derive_seed(master_seed: int, label: str) -> int:
     """Stable per-scenario seed from the master seed and the scenario name."""
     digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def resolve_scenario(vs: ValidationScenario, seed: int) -> ValidatedScenario:
+    """The validated scenario ``vs`` runs at under the master seed ``seed``:
+    its own configuration at the seed derived from ``seed`` and its name."""
+    return validate_scenario(replace(vs.scenario, seed=derive_seed(seed, vs.name)))
 
 
 def default_correlation_grid(scenario, cap_to_trace: bool = True) -> LagGrid:
@@ -338,28 +345,30 @@ def _lcr_oracle_deviation(ensemble) -> Deviation:
     return _deviation((curve.rates - oracle) / oracle)
 
 
+def _crossing_zscores(rates_a, rates_b) -> np.ndarray:
+    """Per-threshold distance between the trial means of two (n_trials,
+    n_thresholds) crossing-rate arrays, in combined standard errors; unequal
+    means without a standard error (one trial, or no spread) score inf."""
+    a, b = (np.ascontiguousarray(rates.T) for rates in (rates_a, rates_b))
+    diff = np.abs(a.mean(axis=1) - b.mean(axis=1))
+    se = np.zeros_like(diff)
+    if min(a.shape[1], b.shape[1]) > 1:
+        var_a, var_b = (x.var(axis=1, ddof=1) / x.shape[1] for x in (a, b))
+        se = np.sqrt(var_a + var_b)
+    z = np.divide(diff, se, out=np.full_like(diff, math.inf), where=se > 0)
+    z[diff == 0.0] = 0.0
+    return z
+
+
 def _lcr_consistency_deviation(ensemble, seed_b: int) -> Deviation:
     """Score the ensemble's LCR curve against a second one at ``seed_b``, in
     combined standard-error units."""
-    zscores = []
-    scenario_b = replace(ensemble.scenario, seed=seed_b)
-    per_trial = [
+    ensemble_b = sos.LazyEnsemble(replace(ensemble.scenario, seed=seed_b))
+    rates = [
         estimators.per_trial_crossing_rates(ens, LCR_THRESHOLDS)
-        for ens in (ensemble, sos.LazyEnsemble(scenario_b))
+        for ens in (ensemble, ensemble_b)
     ]
-    for j in range(LCR_THRESHOLDS.size):
-        a, b = per_trial[0][:, j], per_trial[1][:, j]
-        diff = abs(a.mean() - b.mean())
-        if a.size < 2 or b.size < 2:
-            # one trial gives no standard error; score as a failure unless equal
-            zscores.append(0.0 if diff == 0.0 else math.inf)
-            continue
-        se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
-        if se == 0.0:
-            zscores.append(0.0 if diff == 0.0 else math.inf)
-        else:
-            zscores.append(diff / se)
-    return _deviation(zscores)
+    return _deviation(_crossing_zscores(*rates))
 
 
 def run_validation(
@@ -373,8 +382,7 @@ def run_validation(
     """
     records = []
     for vs in scenarios:
-        scenario_seed = derive_seed(seed, vs.name)
-        scn = validate_scenario(replace(vs.scenario, seed=scenario_seed))
+        scn = resolve_scenario(vs, seed)
         corr_stats = [s for s in vs.statistics if s in theory.CORRELATION_KINDS]
         ensemble = sos.LazyEnsemble(scn)
         grid = default_correlation_grid(scn) if corr_stats else None
@@ -409,7 +417,7 @@ def run_validation(
                     tol_rms=tol.rms,
                     passed=dev.max_abs <= tol.max_abs and dev.rms <= tol.rms,
                     n_trials=scn.n_trials,
-                    seed=scenario_seed,
+                    seed=scn.seed,
                 )
             )
     return ValidationReport(

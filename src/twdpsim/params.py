@@ -292,8 +292,10 @@ def make_scenario(
 
     Channel parameters come from (k, gamma, omega) unless ``params`` is given
     explicitly.  The sample period derives from the normalized product
-    ``fd_ts = f_D * T_s``.
+    ``fd_ts = f_D * T_s``, so ``doppler_hz`` must be positive.
     """
+    if doppler_hz <= 0:
+        raise ParameterError(f"doppler_hz must be > 0, got {doppler_hz}")
     if params is None:
         params = from_k_gamma(k, gamma, omega)
     return ScenarioConfig(

@@ -367,6 +367,17 @@ def envelope_pdf_reference(p: ChannelParams, z):
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
+def _cdf_edges(edges) -> np.ndarray:
+    """``edges`` as floats, refused unless 1-D, strictly ascending and finite."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be 1-D and strictly ascending")
+    bad = edges[~np.isfinite(edges)]
+    if bad.size:
+        raise ValueError(f"edges must be finite, got {bad[0]}")
+    return edges
+
+
 def envelope_cdf_reference(p: ChannelParams, edges) -> np.ndarray:
     """Reference envelope CDF at the given ascending edge values (0 at r <= 0).
 
@@ -374,9 +385,7 @@ def envelope_cdf_reference(p: ChannelParams, edges) -> np.ndarray:
     :func:`envelope_pdf_reference` integrated from 0 to r in closed form over
     z (int_0^r z J0(z u) dz = r J1(r u) / u), on the density's nodes.
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be 1-D and strictly ascending")
+    edges = _cdf_edges(edges)
     u, weighted = _reference_hankel_weights(p, float(edges.max(initial=0.0)))
     cdf = [rv * (special.j1(rv * u) @ weighted) if rv > 0 else 0.0 for rv in edges]
     return np.clip(cdf, 0.0, 1.0)
@@ -430,9 +439,7 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
         raise ValueError(
             "envelope density requires diffuse_power > 0 (singular otherwise)"
         )
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be 1-D and strictly ascending")
+    edges = _cdf_edges(edges)
     if edges.size and edges[0] < 0:
         raise ValueError(f"envelope value must be >= 0, got {edges[0]}")
     tones = [v / math.sqrt(p.omega) for v in (p.v1, p.v2) if v > 0]

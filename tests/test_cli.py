@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,6 +359,13 @@ class TestCliDispatch:
         argv = command + ["--config", str(cfg), "--out", str(tmp_path / "out")]
         assert cli_dispatch(argv) == 2
         assert "error: Unable to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_doppler_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "still.cfg"
+        cfg.write_text("doppler_hz = 0\n")
+        assert cli_dispatch(["theory", "--kind", "rxx", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: doppler_hz must be > 0, got 0.0\n"
 
     def test_lag_error_exits_2(self, small_cfg, monkeypatch, capsys):
         def reject(*args, **kwargs):
@@ -398,6 +406,15 @@ class TestCliDispatch:
         assert abs(doc["rows"][0][2] - 1.875) < 1e-12
 
 
+def _resolved_scenarios(stderr):
+    prefix = "resolved scenario: "
+    return [
+        json.loads(line.removeprefix(prefix))
+        for line in stderr.splitlines()
+        if line.startswith(prefix)
+    ]
+
+
 class TestValidateCommand:
     def test_deterministic_reports_and_exit_zero(self, small_cfg, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -434,3 +451,46 @@ class TestValidateCommand:
         capsys.readouterr()
         assert code == 1
         assert json.loads(out.read_text())["overall_passed"] is False
+
+    def test_configured_scenario_is_the_builtin_correlation_check(
+        self, small_cfg, monkeypatch, capsys
+    ):
+        runs = []
+        monkeypatch.setattr(
+            harness,
+            "run_validation",
+            lambda scenarios, seed: runs.append(scenarios)
+            or harness.ValidationReport(seed, harness.ANCHOR_POLICY),
+        )
+        assert cli_dispatch(["validate", "--config", str(small_cfg)]) == 0
+        capsys.readouterr()
+        (configured,) = runs[0]
+        cfg = parse_config(small_cfg.read_text())
+        builtin = [vs for vs in harness.builtin_scenarios() if vs.name.startswith("corr-")]
+        assert len(builtin) == 4
+        for vs in builtin:
+            assert replace(vs, name="configured", scenario=cfg, notes="") == configured
+
+    def test_configured_run_logs_the_resolved_scenario(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["validate", "--config", str(small_cfg), "--seed", "2", "--out", str(out)]
+        assert cli_dispatch(argv) == 0
+        (logged,) = _resolved_scenarios(capsys.readouterr().err)
+        (record, *_) = json.loads(out.read_text())["records"]
+        assert logged["seed"] == record["seed"] == harness.derive_seed(2, "configured")
+        assert logged["n_trials"] == 300 and logged["n_samples"] == 3001
+
+    def test_builtin_run_logs_every_resolved_scenario(self, tmp_path, monkeypatch, capsys):
+        suite = [
+            replace(vs, scenario=replace(vs.scenario, n_trials=2))
+            for vs in harness.builtin_scenarios()
+        ]
+        monkeypatch.setattr(harness, "builtin_scenarios", lambda: suite)
+        out = tmp_path / "r.json"
+        assert cli_dispatch(["validate", "--seed", "3", "--out", str(out)]) in (0, 1)
+        logged = _resolved_scenarios(capsys.readouterr().err)
+        seeds = {r["scenario"]: r["seed"] for r in json.loads(out.read_text())["records"]}
+        assert [doc["seed"] for doc in logged] == [seeds[vs.name] for vs in suite]
+        assert [doc["n_samples"] for doc in logged] == [
+            vs.scenario.n_samples for vs in suite
+        ]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twdpsim import estimators, sos, theory
+from twdpsim import estimators, harness, sos, theory
 from twdpsim.harness import (
     CORRELATION_STATS,
     LCR_THRESHOLDS,
@@ -181,6 +181,33 @@ class TestBuiltinScenarios:
         pdf = next(vs for vs in builtin_scenarios() if "pdf" in vs.statistics)
         assert pdf.name == "pdf-twdp-k10-g10"
         assert pdf.oracle == "reference_formula"
+
+
+def _loop_zscores(a, b):
+    """The crossing-rate z-score rule, one threshold column at a time."""
+    out = []
+    for j in range(a.shape[1]):
+        x, y = a[:, j], b[:, j]
+        diff = abs(x.mean() - y.mean())
+        se = 0.0
+        if x.size > 1 and y.size > 1:
+            se = math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+        out.append(diff / se if se > 0 else 0.0 if diff == 0 else math.inf)
+    return np.array(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_trials", [1, 2, 37, 500])
+def test_crossing_zscores_equal_a_per_threshold_loop(n_trials):
+    rng = np.random.default_rng(n_trials)
+    a, b = rng.gamma(2.0, size=(2, n_trials, 6))
+    a[:, 3] = b[:, 3] = 0.0  # a threshold neither ensemble crosses
+    a[:, 4] = b[:, 4] = 1.5  # no spread, equal means
+    a[:, 5], b[:, 5] = 1.0, 2.0  # no spread, unequal means
+    z = harness._crossing_zscores(a, b)
+    assert z.tobytes() == _loop_zscores(a, b).tobytes()
+    assert z[3] == z[4] == 0.0 and z[5] == math.inf
+    assert np.all(np.isfinite(z[:3])) == (n_trials > 1)
 
 
 class TestRunValidation:

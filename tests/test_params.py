@@ -165,6 +165,12 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenarioError):
             validate_scenario(cfg)
 
+    @pytest.mark.parametrize("doppler_hz", [0.0, -5.0])
+    def test_make_scenario_requires_positive_doppler(self, doppler_hz):
+        message = f"^doppler_hz must be > 0, got {doppler_hz}$"
+        with pytest.raises(ParameterError, match=message):
+            make_scenario(doppler_hz=doppler_hz)
+
     def test_zero_trials(self):
         with pytest.raises(InvalidScenarioError, match="n_trials"):
             validate_scenario(make_scenario(n_trials=0))

@@ -614,6 +614,25 @@ class TestEnvelopeCdfSimulator:
             envelope_cdf_simulator(p, 8962, [3.0])
 
 
+@pytest.mark.parametrize(
+    "cdf",
+    [envelope_cdf_reference, lambda p, edges: envelope_cdf_simulator(p, 8, edges)],
+    ids=["reference", "simulator"],
+)
+@pytest.mark.parametrize("edges", [[1.0, math.inf], [math.nan, 1.0]], ids=["inf", "nan"])
+def test_envelope_cdf_rejects_non_finite_edges(cdf, edges):
+    with pytest.raises(ValueError, match="edges must be finite"):
+        cdf(from_k_gamma(10.0, 0.5), edges)
+
+
+def test_envelope_cdf_negative_edges():
+    # The reference CDF is 0 at r <= 0; the finite-N law refuses r < 0.
+    p = from_k_gamma(10.0, 0.5)
+    assert envelope_cdf_reference(p, [-1.0, 0.0])[0] == 0.0
+    with pytest.raises(ValueError, match="envelope value must be >= 0"):
+        envelope_cdf_simulator(p, 8, [-1.0, 1.0])
+
+
 class TestRayleighLcrOracle:
     def test_values(self):
         assert rayleigh_lcr_oracle(0.0) == 0.0
