@@ -5,8 +5,10 @@ ideal channel whose diffuse component is exactly complex Gaussian (the
 infinite-sinusoid limit).  The simulator expressions describe the finite-N
 sum-of-sinusoids generator: its quadrature ACF/CCF and complex-envelope ACF
 coincide with the reference for every N, while its squared-envelope ACF picks
-up a negative correction proportional to the panel kernels f_c and f_s, each
-panel's mean of exp(j*x*cos(g)) summed at an a-priori Gauss-Legendre order.
+up a negative correction proportional to the panel kernels f_c and f_s: sums
+of the squared real and imaginary parts of each panel's mean of
+exp(j*x*cos(g)), with one Gauss-Legendre sum, at an a-priori order, per
+symmetry orbit of the panels (n//4 + 1 of them for even n).
 
 The envelope law splits the same way.  The reference density and CDF come
 from the characteristic function of the two-tone plus Gaussian composition.
@@ -155,18 +157,40 @@ def _panel_order(x_max: float, n: int) -> int:
     return order
 
 
-def _panel_means(x: np.ndarray, n: int, order: int) -> np.ndarray:
-    """Complex panel means I_m(x) = (1/2pi) int exp(j*x*cos(g)) dg, (len(x), n).
+def _panel_orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One panel index m per symmetry orbit of the n panels, and orbit sizes.
 
-    Panel m = 1..n is [(2*pi*m - pi)/n, (2*pi*m + pi)/n], of half-width
-    h = pi/n; f_c = sum_m (Re I_m)^2 and f_s = sum_m (Im I_m)^2.  The order
-    rule (:func:`_panel_order`, applied before evaluating) takes the smallest q
+    g -> 2*pi - g maps panel m onto panel n - m with the same mean and, for
+    even n, g -> pi - g maps it onto panel n/2 - m with the conjugate mean, so
+    (Re I_m)^2 and (Im I_m)^2 are constant on an orbit.  Even n: m = 0..n//4
+    with sizes 2, 4, ..., 4 and a last 2 when 4 divides n.  Odd n:
+    m = 0..(n-1)/2 with sizes 1, 2, ..., 2.  The sizes sum to n.
+    """
+    even = n % 2 == 0
+    m = np.arange(n // 4 + 1 if even else (n + 1) // 2)
+    mult = np.full(m.size, 4.0 if even else 2.0)
+    mult[0] = 2.0 if even else 1.0
+    if n % 4 == 0:
+        mult[-1] = 2.0
+    return m, mult
+
+
+def _panel_means(x: np.ndarray, n: int, order: int) -> np.ndarray:
+    """Complex panel means I_m(x) = (1/2pi) int exp(j*x*cos(g)) dg, one per
+    symmetry orbit (:func:`_panel_orbits`), shape (len(x), orbits).
+
+    Panel m is [(2*pi*m - pi)/n, (2*pi*m + pi)/n], of half-width h = pi/n, for
+    m = 0..n-1; f_c = sum_m (Re I_m)^2 and f_s = sum_m (Im I_m)^2, each summed
+    as one Gauss-Legendre sum per orbit (n//4 + 1 of them for even n,
+    (n+1)/2 for odd n) weighted by the orbit's size.  The order rule
+    (:func:`_panel_order`, applied before evaluating) takes the smallest q
     with (h/2pi) * (64/15) * M(rho) / ((rho^2 - 1) * rho^(2(q-1))) <= 1e-16
     for some rho on a log grid of rho - 1 in [1e-4, 1e2], at the block's max
     |x|.  M(rho) = exp(|x| * sinh(h*(rho - 1/rho)/2)) bounds exp(j*x*cos(g))
     on the panel's Bernstein ellipse E_rho, so this is Gauss quadrature's
     error bound for q points (Trefethen, Approximation Theory and
-    Approximation Practice, Thm 19.3).  Every panel mean is then within 1e-16
+    Approximation Practice, Thm 19.3).  Every panel mean is then within 1e-16,
+    the same bound whether a mean is summed once per panel or once per orbit,
     and, as |I_m| <= 1/n, f_c + f_s within 2e-16 + n*1e-32 of the exact value.
     Phase rounding, a few |x| * 2^-53 per node, comes on top: on |x| <= 62.8
     f_c and f_s stay within 4e-16 of mpmath.  An order q whose q x q node
@@ -174,7 +198,7 @@ def _panel_means(x: np.ndarray, n: int, order: int) -> np.ndarray:
     """
     h = math.pi / n
     xi, w = _gl_nodes(order)
-    cos_g = np.cos(h * xi + TWO_PI * np.arange(1, n + 1)[:, None] / n)
+    cos_g = np.cos(h * xi + TWO_PI * _panel_orbits(n)[0][:, None] / n)
     # A real cos and sin of the phase are faster than np.exp of an
     # imaginary one (numpy 2.4).
     arg = x[:, None, None] * cos_g
@@ -187,14 +211,16 @@ def _fc_fs(x, n: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel argument must be finite")
-    # Blocks of at most _PANEL_WORKSPACE nodes (or one row) at the largest order.
+    # Blocks of at most _PANEL_WORKSPACE nodes (or one row) at the largest order
+    # over all n panels; the order check refuses an n whose orbits would not fit.
     rows = max(1, _PANEL_WORKSPACE // (n * _panel_order(np.abs(x).max(initial=0.0), n)))
+    mult = _panel_orbits(n)[1]
     fc, fs = np.empty(x.size), np.empty(x.size)
     for start in range(0, x.size, rows):
         block = slice(start, start + rows)
         means = _panel_means(x[block], n, _panel_order(np.abs(x[block]).max(), n))
-        fc[block] = (means.real ** 2).sum(axis=-1)
-        fs[block] = (means.imag ** 2).sum(axis=-1)
+        fc[block] = means.real ** 2 @ mult
+        fs[block] = means.imag ** 2 @ mult
     return fc, fs
 
 
@@ -405,10 +431,13 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
     oscillates and decays only like u^-(m+1)/2, with m the number of phasors
     of non-zero amplitude (m >= N >= 3); at N=3 a plain truncation bounded
     by absolute values would have to run past u = 1e12 to reach 1e-12.  The
-    integral is therefore split at U = 10/a:
+    resultant never passes vt1 + vt2 + N*a, so edges at or past that bound
+    get exactly 1 with no quadrature, and only the edges in (0, bound) are
+    integrated.  The integral is split at U = 10/a:
 
     * [0, U]: Gauss-Legendre, 24 nodes per period of the fastest oscillation
-      r + vt1 + vt2 + N*a.  The error is at the rounding level.
+      max(r) + vt1 + vt2 + N*a over the integrated edges.  The error is at the
+      rounding level.
     * [U, inf): each Bessel factor is written as the mean of its two Hankel
       functions.  Every product term then goes like exp(i*Omega*u) times
       u^-(m+1)/2, where Omega is a signed sum of r, vt1, vt2 and N copies
@@ -445,11 +474,14 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
     tones = [v / math.sqrt(p.omega) for v in (p.v1, p.v2) if v > 0]
     a = math.sqrt(p.diffuse_power / (n_sinusoids * p.omega))
     split = _KLUYVER_SPLIT / a
-    cdf = np.zeros(edges.size)
-    pos = edges > 0
-    if np.any(pos):
-        r = edges[pos]
-        cdf[pos] = _kluyver_tail(r, tones, a, n_sinusoids, split) + _kluyver_head(
+    # The triangle-inequality bound of sos.envelope_bound, in the same
+    # arithmetic: the envelope never passes it, so F_N is 1 from there on.
+    bound = (p.v1 + p.v2 + math.sqrt(p.diffuse_power * n_sinusoids)) / math.sqrt(p.omega)
+    cdf = np.where(edges >= bound, 1.0, 0.0)
+    inner = (edges > 0) & (edges < bound)
+    if np.any(inner):
+        r = edges[inner]
+        cdf[inner] = _kluyver_tail(r, tones, a, n_sinusoids, split) + _kluyver_head(
             r, tones, a, n_sinusoids, split
         )
     return np.clip(cdf, 0.0, 1.0)

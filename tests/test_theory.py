@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from twdpsim.sos import envelope_bound
 from twdpsim.theory import (
     LagGrid,
     _panel_means,
+    _panel_orbits,
     _panel_order,
     bessel_j0,
     envelope_cdf_reference,
@@ -88,6 +90,8 @@ class TestBesselJ0:
 
 
 KERNEL_CASES = [(62.8, 8), (62.8, 1), (20.0, 64), (200.0, 4)]
+# Odd n and n = 2 mod 4, whose symmetry orbits differ from the n = 0 mod 4 cases.
+ORBIT_KERNEL_CASES = [(10.0, 7), (20.0, 6)]
 
 
 def _mpmath_panel_kernels(x, n):
@@ -141,13 +145,13 @@ class TestPanelKernels:
         with pytest.raises(ValueError):
             f_c(1.0, 0)
 
-    @pytest.mark.parametrize("x,n", KERNEL_CASES)
+    @pytest.mark.parametrize("x,n", KERNEL_CASES + ORBIT_KERNEL_CASES)
     def test_against_mpmath(self, x, n):
         want_c, want_s = _mpmath_panel_kernels(x, n)
         assert abs(f_c(x, n) - want_c) <= 1e-14
         assert abs(f_s(x, n) - want_s) <= 1e-14
 
-    @pytest.mark.parametrize("x,n", KERNEL_CASES + [(0.0, 8), (5.0, 1024)])
+    @pytest.mark.parametrize("x,n", KERNEL_CASES + ORBIT_KERNEL_CASES + [(0.0, 8), (5.0, 1024)])
     def test_doubled_order_moves_no_panel_mean(self, x, n):
         # The rule bounds the quadrature error of each mean by 1e-16.  Rounding
         # comes on top in each of the two evaluations: a phase error of up to
@@ -158,6 +162,32 @@ class TestPanelKernels:
         doubled = _panel_means(np.array([x]), n, 2 * order)
         rounding = 2 * (12 * math.pi * abs(x) + 4 * order) * 2.0 ** -53 / n
         assert np.abs(doubled - means).max() <= 1e-16 + rounding
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64, 1024])
+    def test_orbit_sums_match_every_panel(self, n):
+        # Every one of the n panel means, summed without symmetry, at the
+        # order the kernel uses for the whole lag set.
+        x = np.array([0.0, 0.3, 2.5, 9.0, 31.4, 62.8])
+        xi, w = np.polynomial.legendre.leggauss(_panel_order(62.8, n))
+        g = (TWO_PI * np.arange(n)[:, None] + math.pi * xi) / n
+        means = np.exp(1j * x[:, None, None] * np.cos(g)) @ w / (2 * n)
+        fc, fs = theory._fc_fs(x, n)
+        assert np.abs(fc - (means.real ** 2).sum(axis=-1)).max() <= 1e-15
+        assert np.abs(fs - (means.imag ** 2).sum(axis=-1)).max() <= 1e-15
+
+    def test_orbit_sizes_sum_to_n(self):
+        for n in [1024, 4098, 2 ** 20 + 1]:
+            assert _panel_orbits(n)[1].sum() == n
+        for n in range(1, 66):
+            # Orbits of the group generated by m -> -m and, for even n,
+            # m -> n/2 - m (so also m -> m + n/2), modulo n.
+            m, mult = _panel_orbits(n)
+            shifts = (0, n // 2) if n % 2 == 0 else (0,)
+            orbits = {k: frozenset((s + sign * k) % n for s in shifts for sign in (1, -1))
+                      for k in range(n)}
+            assert [orbits[k] for k in m.tolist()] == list(dict.fromkeys(orbits.values())), n
+            assert mult.tolist() == [len(orbits[k]) for k in m.tolist()], n
+            assert mult.sum() == n
 
     @pytest.mark.parametrize("n", [1, 8, 64, 1024])
     def test_order_nondecreasing_in_x(self, n):
@@ -581,8 +611,8 @@ class TestEnvelopeCdfSimulator:
     @pytest.mark.parametrize(
         "k,gamma,want",
         [
-            (10.0, 0.5, [0.06485995282709672, 0.4793014912610022, 0.9999912469478882]),
-            (10.0, 1.0, [0.15339438158603563, 0.48637101863330273, 0.9999310553162377]),
+            (10.0, 0.5, [0.06485995282709668, 0.4793014912610021, 0.9999912469478879]),
+            (10.0, 1.0, [0.15339438158603555, 0.4863710186333026, 0.9999310553162373]),
         ],
     )
     def test_pinned_values_on_criterion_6_edges(self, k, gamma, want):
@@ -590,10 +620,40 @@ class TestEnvelopeCdfSimulator:
         # 0.93 and 2.01.  They pin the order of the Gauss-Legendre head's
         # products (multiplying the tone factors before J0(a u)^N moves all
         # six); a BLAS build that sums dot products in another order may move
-        # the last bit.
+        # the last bit.  Edges past the envelope bound (2.13 and 2.20 here)
+        # are not integrated, so the head's nodes are set by the last edge
+        # below it.
         edges = np.linspace(0.0, 3.0, 101)[1:]
         cdf = envelope_cdf_simulator(from_k_gamma(k, gamma), 8, edges)
         assert cdf[[12, 30, 66]].tolist() == want
+
+    @pytest.mark.parametrize("top", [1e6, 1e12, 1e13, "bound"])
+    def test_one_at_and_past_envelope_bound(self, top):
+        # Edges at or past the bound take no quadrature: they neither pass the
+        # head's node budget nor overflow the tail's ray cut.
+        scn = validate_scenario(make_scenario(k=10.0, gamma=0.5, n_sinusoids=8))
+        top = envelope_bound(scn) if top == "bound" else top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cdf = envelope_cdf_simulator(scn.params, 8, [1.0, top])
+            alone = envelope_cdf_simulator(scn.params, 8, [1.0])
+        assert cdf.tolist() == [alone[0], 1.0]
+
+    @pytest.mark.parametrize(
+        "edges,want",
+        [
+            ([1.0], [0.5470794064212084]),
+            (
+                [0.0, 0.5, 1.0, 1.5, 2.0],
+                [0.0, 0.1242202933028341, 0.5470794064212087, 0.9549486598890986,
+                 0.9999872840597258],
+            ),
+        ],
+    )
+    def test_pinned_values_below_envelope_bound(self, edges, want):
+        # Edge sets wholly below the bound (2.13) are integrated as they stand,
+        # so these pin the head's and the tail's arithmetic.
+        assert envelope_cdf_simulator(from_k_gamma(10.0, 0.5), 8, edges).tolist() == want
 
     def test_rejects_too_few_sinusoids(self):
         with pytest.raises(ValueError, match="n_sinusoids"):
