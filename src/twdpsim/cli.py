@@ -196,7 +196,7 @@ def _cmd_lcr(args) -> int:
     scn = _load_scenario(args)
     ens = sos.LazyEnsemble(scn)
     curve = estimators.level_crossing_rate(ens, harness.LCR_THRESHOLDS)
-    if scn.params.v1 == 0 and scn.params.v2 == 0:
+    if theory.is_rayleigh(scn.params):
         oracle = theory.rayleigh_lcr_oracle(curve.thresholds)
         columns = ["rho", "rate", "oracle_rate"]
         rows = np.column_stack([curve.thresholds, curve.rates, oracle])

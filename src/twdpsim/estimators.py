@@ -354,7 +354,7 @@ def ensemble_correlation(
     if kind == "rzz":
         raise ValueError("request rzz_re or rzz_im for series output")
     values = correlation_means(ens, (kind,), grid, anchors)[kind]
-    return CorrelationSeries(kind, "empirical", grid, values, n_trials=ens.n_trials)
+    return CorrelationSeries(kind, grid, values)
 
 
 def ensemble_mean(ens: Ensemble) -> complex:

@@ -15,8 +15,9 @@ tolerance is a report entry, never an exception; the overall verdict is the
 AND of all entries.
 
 The CLI shares these rules: ``correlation_scenario`` builds the builtin and
-the ``validate --config`` correlation checks, and ``resolve_scenario`` is the
-scenario ``run_validation`` runs, at its derived seed, and ``validate`` logs.
+the ``validate --config`` correlation checks, ``resolve_scenario`` is the
+scenario ``run_validation`` runs, at its derived seed, and ``validate`` logs,
+and ``lcr`` prints the Rayleigh oracle where ``closed_form_oracle`` applies.
 
 Oracles, and the statistics each one scores (``STATISTIC_ORACLES``):
   reference_formula    correlations and the envelope density: closed forms of
@@ -24,8 +25,8 @@ Oracles, and the statistics each one scores (``STATISTIC_ORACLES``):
   simulator_formula    correlations and the envelope density: closed forms of
                        the finite-N generator; for the density, Kluyver's
                        random-phasor-sum CDF
-  closed_form_oracle   lcr: the Rayleigh crossing-rate law, so diffuse-only
-                       channels (v1 == 0) only
+  closed_form_oracle   lcr: the Rayleigh crossing-rate law, so Rayleigh
+                       channels (``theory.is_rayleigh``) only
   self_consistency     lcr: the scenario's ensemble against a second one at a
                        disjoint seed, deviations in combined standard errors
 
@@ -64,7 +65,8 @@ STATISTIC_ORACLES = {
 ORACLES = tuple(dict.fromkeys(o for pair in STATISTIC_ORACLES.values() for o in pair))
 
 ANCHOR_POLICY = (
-    "ensemble average over trials and over anchor times every 10th sample, "
+    "ensemble average over trials and over anchor times every "
+    f"{estimators.DEFAULT_ANCHOR_STRIDE}th sample, "
     "anchors excluded from the final max-lag window"
 )
 
@@ -95,7 +97,6 @@ class ValidationScenario:
     statistics: tuple[str, ...]
     tolerances: dict[str, Tolerance]
     oracle: str
-    notes: str = ""
 
     def __post_init__(self):
         if not self.statistics:
@@ -112,7 +113,7 @@ class ValidationScenario:
                     f"{stat} is scored by {' or '.join(STATISTIC_ORACLES[stat])}, "
                     f"not {self.oracle!r}"
                 )
-        if self.oracle == "closed_form_oracle" and self.scenario.params.v1 != 0:
+        if self.oracle == "closed_form_oracle" and not theory.is_rayleigh(self.scenario.params):
             raise ValueError("closed_form_oracle is the Rayleigh law: it needs v1 == 0")
         if "pdf" in self.statistics and self.oracle == "simulator_formula":
             if self.scenario.n_sinusoids < 3:
@@ -187,14 +188,12 @@ _PDF_N_SAMPLES = 40000
 _LCR_N_SAMPLES = 10000
 
 
-def correlation_scenario(
-    name: str, scenario: ScenarioConfig, notes: str = ""
-) -> ValidationScenario:
+def correlation_scenario(name: str, scenario: ScenarioConfig) -> ValidationScenario:
     """The correlation check of ``scenario``: every one of CORRELATION_STATS
     against the finite-N formulas, at CORRELATION_TOL."""
     tolerances = dict.fromkeys(CORRELATION_STATS, CORRELATION_TOL)
     return ValidationScenario(
-        name, scenario, CORRELATION_STATS, tolerances, "simulator_formula", notes
+        name, scenario, CORRELATION_STATS, tolerances, "simulator_formula"
     )
 
 
@@ -209,19 +208,16 @@ def builtin_scenarios() -> list[ValidationScenario]:
     """
     scenarios = []
     combos = [
-        ("corr-rayleigh", 0.0, 0.0, ""),
-        (
-            "corr-rician-k10",
-            10.0,
-            0.0,
-            "cross-check against published Rician-simulator correlation curves",
-        ),
-        ("corr-twdp-k10-g05", 10.0, 0.5, ""),
-        ("corr-twdp-k10-g10", 10.0, 1.0, ""),
+        ("corr-rayleigh", 0.0, 0.0),
+        # Also a cross-check against published Rician-simulator correlation
+        # curves.
+        ("corr-rician-k10", 10.0, 0.0),
+        ("corr-twdp-k10-g05", 10.0, 0.5),
+        ("corr-twdp-k10-g10", 10.0, 1.0),
     ]
-    for name, k, gamma, notes in combos:
+    for name, k, gamma in combos:
         scenario = make_scenario(k=k, gamma=gamma, n_samples=_CORR_N_SAMPLES)
-        scenarios.append(correlation_scenario(name, scenario, notes))
+        scenarios.append(correlation_scenario(name, scenario))
     scenarios.append(
         ValidationScenario(
             name="pdf-twdp-k10-g10",
@@ -400,9 +396,7 @@ def run_validation(
                 else:
                     dev = _lcr_oracle_deviation(ensemble)
             else:
-                empirical = CorrelationSeries(
-                    stat, "empirical", grid, means[stat], n_trials=ensemble.n_trials
-                )
+                empirical = CorrelationSeries(stat, grid, means[stat])
                 oracle = oracle_series(stat, scn, grid, vs.oracle)
                 dev = compare_series(empirical, oracle)
             tol = vs.tolerances[stat]

@@ -56,8 +56,8 @@ class InvalidScenarioError(ValueError):
         self.errors = list(errors)
 
 
-def wrap_angle(angle: float) -> float:
-    """Reduce an angle to the interval [-pi, pi)."""
+def wrap_angle(angle):
+    """Reduce an angle, or an array of them, to the interval [-pi, pi)."""
     return (angle + math.pi) % TWO_PI - math.pi
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import TWO_PI, ValidatedScenario
+from .params import TWO_PI, ChannelParams, ValidatedScenario, wrap_angle
 
 # Samples per block of the factorized synthesis; see the module docstring.
 BLOCK = 64
@@ -97,6 +97,11 @@ class FadingTrace:
         return self.scenario.digest()
 
 
+def _trial_blocks(n_trials: int):
+    """Row slices of ``TRIAL_BLOCK`` trials that partition range(n_trials)."""
+    return (slice(i, min(i + TRIAL_BLOCK, n_trials)) for i in range(0, n_trials, TRIAL_BLOCK))
+
+
 @dataclass(frozen=True, eq=False)
 class TraceEnsemble:
     """Consecutive trials of one scenario held in memory, in trial order.
@@ -124,8 +129,7 @@ class TraceEnsemble:
     def blocks(self):
         """Yield (rows, samples) per ``TRIAL_BLOCK`` trials: the slice of
         ``sample_matrix`` rows and a view of them."""
-        for first in range(0, self.n_trials, TRIAL_BLOCK):
-            rows = slice(first, min(first + TRIAL_BLOCK, self.n_trials))
+        for rows in _trial_blocks(self.n_trials):
             yield rows, self.sample_matrix[rows]
 
 
@@ -147,18 +151,13 @@ class LazyEnsemble:
     def blocks(self):
         """Yield (rows, samples) per ``TRIAL_BLOCK`` trials: the slice of trial
         indices and the samples of ``generate_ensemble`` for them."""
-        for first in range(0, self.n_trials, TRIAL_BLOCK):
-            last = min(first + TRIAL_BLOCK, self.n_trials)
-            block = generate_ensemble(self.scenario, range(first, last))
-            yield slice(first, last), block.sample_matrix
+        for rows in _trial_blocks(self.n_trials):
+            block = generate_ensemble(self.scenario, range(rows.start, rows.stop))
+            yield rows, block.sample_matrix
 
 
 # What the estimators read: either kind of ensemble.
 Ensemble = TraceEnsemble | LazyEnsemble
-
-
-def _wrap(angles: np.ndarray) -> np.ndarray:
-    return (angles + np.pi) % TWO_PI - np.pi
 
 
 def draw_trial_randoms(
@@ -176,7 +175,7 @@ def draw_trial_randoms(
     thetas = rng.uniform(-np.pi, np.pi, size=n_sinusoids)
     init_phases = rng.uniform(-np.pi, np.pi, size=n_sinusoids)
     i = np.arange(1, n_sinusoids + 1)
-    aoas = _wrap((TWO_PI * i + thetas) / n_sinusoids)
+    aoas = wrap_angle((TWO_PI * i + thetas) / n_sinusoids)
     return phi1, phi2, DiffuseRealization(n_sinusoids, thetas, init_phases, aoas)
 
 
@@ -264,7 +263,9 @@ def generate_ensemble(
 
 def envelope_bound(scenario: ValidatedScenario) -> float:
     """Exact triangle-inequality bound on |z| for this scenario."""
-    p = scenario.params
-    return (
-        p.v1 + p.v2 + math.sqrt(p.diffuse_power * scenario.n_sinusoids)
-    ) / math.sqrt(p.omega)
+    return phasor_sum_bound(scenario.params, scenario.n_sinusoids)
+
+
+def phasor_sum_bound(p: ChannelParams, n_sinusoids: int) -> float:
+    """Sum of the N+2 phasor amplitudes of z, which |z| never passes."""
+    return (p.v1 + p.v2 + math.sqrt(p.diffuse_power * n_sinusoids)) / math.sqrt(p.omega)

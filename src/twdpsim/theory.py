@@ -32,9 +32,9 @@ import numpy as np
 from scipy import special
 
 from .params import TWO_PI, ChannelParams
+from .sos import phasor_sum_bound
 
 CORRELATION_KINDS = ("rxx", "ryy", "rxy", "ryx", "rzz_re", "rzz_im", "rsq")
-SERIES_SOURCES = ("reference", "simulator_formula", "empirical")
 
 # Envelope-law Hankel integrals: Gauss-Legendre nodes per period of the
 # fastest oscillation, the reference laws' Gaussian tail cut (integrate u only
@@ -99,16 +99,12 @@ class CorrelationSeries:
     """Values of one correlation statistic over a lag grid."""
 
     kind: str
-    source: str
     grid: LagGrid
     values: np.ndarray
-    n_trials: int | None = None
 
     def __post_init__(self):
         if self.kind not in CORRELATION_KINDS:
             raise ValueError(f"unknown correlation kind {self.kind!r}")
-        if self.source not in SERIES_SOURCES:
-            raise ValueError(f"unknown series source {self.source!r}")
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.shape != (len(self.grid),):
@@ -261,7 +257,7 @@ def ref_acf_quadrature(
         + w2 * np.cos(rates[1] * tau)
         + wd * bessel_j0(TWO_PI * doppler_hz * tau)
     )
-    return CorrelationSeries("rxx", "reference", grid, values)
+    return CorrelationSeries("rxx", grid, values)
 
 
 def ref_ccf_quadrature(
@@ -275,7 +271,7 @@ def ref_ccf_quadrature(
     w1, w2, _ = _tone_weights(p)
     tau = grid.lags_s
     values = 0.5 * (w1 * np.sin(rates[0] * tau) + w2 * np.sin(rates[1] * tau))
-    return CorrelationSeries("rxy", "reference", grid, values)
+    return CorrelationSeries("rxy", grid, values)
 
 
 def ref_acf_complex(
@@ -298,8 +294,8 @@ def ref_acf_complex(
         + wd * bessel_j0(TWO_PI * doppler_hz * tau)
     )
     return (
-        CorrelationSeries("rzz_re", "reference", grid, rzz.real),
-        CorrelationSeries("rzz_im", "reference", grid, rzz.imag),
+        CorrelationSeries("rzz_re", grid, rzz.real),
+        CorrelationSeries("rzz_im", grid, rzz.imag),
     )
 
 
@@ -318,7 +314,7 @@ def ref_acf_squared(
         + 1.0
         + 2 * w1 * w2 * np.cos((rates[0] - rates[1]) * tau)
     )
-    return CorrelationSeries("rsq", "reference", grid, values)
+    return CorrelationSeries("rsq", grid, values)
 
 
 def sim_acf_squared(
@@ -339,7 +335,7 @@ def sim_acf_squared(
     fc, fs = _fc_fs(x, n_sinusoids)
     wd = p.diffuse_power / p.omega
     values = ref.values - wd ** 2 * (fc + fs)
-    return CorrelationSeries("rsq", "simulator_formula", grid, values)
+    return CorrelationSeries("rsq", grid, values)
 
 
 # The finite-N generator's quadrature and complex-envelope correlations carry
@@ -349,13 +345,15 @@ sim_ccf_quadrature = ref_ccf_quadrature
 sim_acf_complex = ref_acf_complex
 
 
+def _require_diffuse(p: ChannelParams) -> None:
+    if p.diffuse_power <= 0:
+        raise ValueError("envelope density requires diffuse_power > 0 (singular otherwise)")
+
+
 def _reference_hankel_weights(p: ChannelParams, r_max: float):
     """Nodes u and weights w * J0(vt1 u) J0(vt2 u) exp(-st2 u^2 / 2) of the
     reference Hankel integrals, for evaluation points up to ``r_max``."""
-    if p.diffuse_power <= 0:
-        raise ValueError(
-            "envelope density requires diffuse_power > 0 (singular otherwise)"
-        )
+    _require_diffuse(p)
     vt1 = p.v1 / math.sqrt(p.omega)
     vt2 = p.v2 / math.sqrt(p.omega)
     st2 = p.diffuse_power / (2.0 * p.omega)
@@ -464,19 +462,15 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
         raise ValueError(
             f"finite-N envelope law requires n_sinusoids >= 3, got {n_sinusoids}"
         )
-    if p.diffuse_power <= 0:
-        raise ValueError(
-            "envelope density requires diffuse_power > 0 (singular otherwise)"
-        )
+    _require_diffuse(p)
     edges = _cdf_edges(edges)
     if edges.size and edges[0] < 0:
         raise ValueError(f"envelope value must be >= 0, got {edges[0]}")
     tones = [v / math.sqrt(p.omega) for v in (p.v1, p.v2) if v > 0]
     a = math.sqrt(p.diffuse_power / (n_sinusoids * p.omega))
     split = _KLUYVER_SPLIT / a
-    # The triangle-inequality bound of sos.envelope_bound, in the same
-    # arithmetic: the envelope never passes it, so F_N is 1 from there on.
-    bound = (p.v1 + p.v2 + math.sqrt(p.diffuse_power * n_sinusoids)) / math.sqrt(p.omega)
+    # The envelope never passes this bound, so F_N is 1 from there on.
+    bound = phasor_sum_bound(p, n_sinusoids)
     cdf = np.where(edges >= bound, 1.0, 0.0)
     inner = (edges > 0) & (edges < bound)
     if np.any(inner):
@@ -548,6 +542,12 @@ def _kluyver_tail(r, tones, a, n, split) -> np.ndarray:
             total += (count[sel] * (np.exp(expo) @ (1j * wt))).sum().real
         out[i] = total
     return out
+
+
+def is_rayleigh(p: ChannelParams) -> bool:
+    """True for a channel with no tone (v1 == 0, as v2 <= v1): the one
+    channel :func:`rayleigh_lcr_oracle` describes."""
+    return p.v1 == 0
 
 
 def rayleigh_lcr_oracle(rho):

@@ -394,6 +394,29 @@ class TestCliDispatch:
         cols, _ = read_series_csv(out)
         assert cols == ["rho", "rate"]
 
+    @pytest.mark.parametrize(
+        "channel,rayleigh",
+        [("k = 0", True), ("k = 10\ngamma = 0", False), ("k = 10\ngamma = 0.5", False)],
+    )
+    def test_lcr_oracle_column_where_the_harness_takes_the_oracle(
+        self, tmp_path, channel, rayleigh, capsys
+    ):
+        cfg = tmp_path / "lcr.cfg"
+        cfg.write_text(f"{channel}\nn_trials = 2\nn_samples = 101\n")
+        out = tmp_path / "lcr.csv"
+        assert cli_dispatch(["lcr", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        tolerances = {"lcr": harness.Tolerance(1.0, 1.0)}
+        try:
+            harness.ValidationScenario(
+                "lcr", parse_config(cfg.read_text()), ("lcr",), tolerances, "closed_form_oracle"
+            )
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == rayleigh
+        assert ("oracle_rate" in read_series_csv(out)[0]) == accepted
+
     def test_json_format(self, rayleigh_cfg, tmp_path, capsys):
         out = tmp_path / "rsq.json"
         assert cli_dispatch(
@@ -469,7 +492,7 @@ class TestValidateCommand:
         builtin = [vs for vs in harness.builtin_scenarios() if vs.name.startswith("corr-")]
         assert len(builtin) == 4
         for vs in builtin:
-            assert replace(vs, name="configured", scenario=cfg, notes="") == configured
+            assert replace(vs, name="configured", scenario=cfg) == configured
 
     def test_configured_run_logs_the_resolved_scenario(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "r.json"

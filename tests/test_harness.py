@@ -37,7 +37,7 @@ def tiny_grid():
 
 def series_of(values, kind="rxx", grid=None):
     grid = grid or tiny_grid()
-    return CorrelationSeries(kind, "empirical", grid, np.asarray(values, float))
+    return CorrelationSeries(kind, grid, np.asarray(values, float))
 
 
 class TestCompareSeries:
@@ -110,10 +110,6 @@ class TestBuiltinScenarios:
                 combos.add((round(k), round(gamma, 2)))
                 assert vs.oracle == "simulator_formula"
         assert combos == {(0, 0.0), (10, 0.0), (10, 0.5), (10, 1.0)}
-
-    def test_rician_scenario_flagged(self):
-        rician = next(vs for vs in builtin_scenarios() if vs.name == "corr-rician-k10")
-        assert "Rician" in rician.notes
 
     def test_aoa_geometries(self):
         by_name = {vs.name: vs.scenario for vs in builtin_scenarios()}
@@ -224,6 +220,10 @@ class TestRunValidation:
         assert stats == wanted
         assert all(r.n_trials == 1 for r in report.records)
         assert report.anchor_policy
+
+    def test_anchor_policy_names_the_default_stride(self):
+        stride = estimators.DEFAULT_ANCHOR_STRIDE
+        assert f"anchor times every {stride}th sample" in harness.ANCHOR_POLICY
 
     def test_report_bytes_deterministic(self):
         scenarios = [

@@ -379,7 +379,7 @@ class TestSquaredAcf:
 
     def test_series_metadata(self):
         sim = sim_acf_squared(from_k_gamma(1.0, 1.0), (0.0, 0.0), FD, 8, grid_fd_tau(3))
-        assert sim.kind == "rsq" and sim.source == "simulator_formula"
+        assert sim.kind == "rsq"
 
 
 def test_simulator_formulas_are_reference_formulas():
