@@ -47,6 +47,8 @@ unit, so a ``LazyEnsemble`` is never whole in memory: per-trial results are
 filled in block by block, trial sums add one block after another in trial
 order, and envelope picks are taken per block.  Every result is therefore
 the same, bit for bit, for an in-memory and a lazy ensemble of one scenario.
+On an ensemble of no trials the per-trial estimators return arrays of no
+rows, and every trial mean raises ValueError("empty ensemble").
 """
 
 from __future__ import annotations
@@ -116,6 +118,13 @@ class LcrCurve:
     thresholds: np.ndarray
     rates: np.ndarray
     observation_time_s: float
+
+
+def _trial_count(ens: Ensemble) -> int:
+    """``ens.n_trials``, which a trial mean divides by: refused when 0."""
+    if ens.n_trials == 0:
+        raise ValueError("empty ensemble")
+    return ens.n_trials
 
 
 def lag_samples(grid: LagGrid, sample_period_s: float, n_samples: int) -> np.ndarray:
@@ -334,7 +343,7 @@ def correlation_means(
     for _, fa, fb in layout.spectra(ens, families):
         for ab, total in sums.items():
             total += _trial_sum(fa[ab[0]], fb[ab[1]])
-    count = ens.n_trials * anchors.size
+    count = _trial_count(ens) * anchors.size
     means = {
         part: sp_fft.irfft(_part_spectrum(part, lambda ab: sums[ab].copy()), m, axis=0)
         .reshape(-1)[lags]
@@ -360,7 +369,7 @@ def ensemble_correlation(
 def ensemble_mean(ens: Ensemble) -> complex:
     """Mean of z over all trials and times (zero for valid scenarios)."""
     total = sum(block.sum() for _, block in ens.blocks())
-    return complex(total / (ens.n_trials * ens.scenario.n_samples))
+    return complex(total / (_trial_count(ens) * ens.scenario.n_samples))
 
 
 def decorrelation_stride(scenario) -> int:
@@ -388,8 +397,7 @@ def envelope_pdf(
     """
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
-    if ens.n_trials == 0:
-        raise ValueError("empty ensemble")
+    _trial_count(ens)
     picks = envelope_picks(ens)
     lo, hi = value_range
     if picks.min() < lo or picks.max() >= hi:
@@ -431,7 +439,7 @@ def per_trial_crossing_rates(
 def level_crossing_rate(ens: Ensemble, thresholds) -> LcrCurve:
     """Trial-averaged normalized level crossing rate curve."""
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    rates = per_trial_crossing_rates(ens, thresholds).mean(axis=0)
     scn = ens.scenario
-    total_time = ens.n_trials * (scn.n_samples - 1) * scn.sample_period_s
+    total_time = _trial_count(ens) * (scn.n_samples - 1) * scn.sample_period_s
+    rates = per_trial_crossing_rates(ens, thresholds).mean(axis=0)
     return LcrCurve(thresholds, rates, total_time)

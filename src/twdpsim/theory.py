@@ -11,15 +11,18 @@ exp(j*x*cos(g)), with one Gauss-Legendre sum, at an a-priori order, per
 symmetry orbit of the panels (n//4 + 1 of them for even n).
 
 The envelope law splits the same way.  The reference density and CDF come
-from the characteristic function of the two-tone plus Gaussian composition.
+from the characteristic function of the two-tone plus Gaussian composition;
+past a cut a few diffuse widths above vt1 + vt2, where both tails are below
+1e-17, they are exactly 0 and 1 with no quadrature.
 The finite-N generator's envelope is a sum of N+2 independent random-phase
 phasors at any fixed time, so its exact CDF is Kluyver's (1905)
 random-phasor-sum integral; at K=0 it sits about 0.1153/N in sup-CDF from the
 Rayleigh law.  All three envelope oracles sum their Hankel integrals on one
 Gauss-Legendre rule, :func:`_gl_nodes_on`.
 
-Also provided: the isotropic-scattering Bessel kernel J0 and the closed-form
-Rayleigh level-crossing-rate oracle used to validate the crossing estimator.
+Also provided: the isotropic-scattering Bessel kernel J0, and the closed-form
+Rayleigh level-crossing-rate oracle used to validate the crossing estimator
+with :func:`is_rayleigh`, the one test of where it applies.
 """
 
 from __future__ import annotations
@@ -38,10 +41,13 @@ CORRELATION_KINDS = ("rxx", "ryy", "rxy", "ryx", "rzz_re", "rzz_im", "rsq")
 
 # Envelope-law Hankel integrals: Gauss-Legendre nodes per period of the
 # fastest oscillation, the reference laws' Gaussian tail cut (integrate u only
-# while exp(-sigma^2 u^2 / 2) >= 1e-14), and a budget of 32 MiB per float64
-# node array, which a too narrow diffuse part (K past ~5e8 on [0, 3]) exceeds.
+# while exp(-sigma^2 u^2 / 2) >= 1e-14), the bound on 1 - F and on f past the
+# reference laws' envelope cut (see _reference_cut), and a budget of 32 MiB
+# per float64 node array, which a too narrow diffuse part (K past ~5e8 on
+# [0, 3]) exceeds.
 _GL_ORDER = 24
 _PDF_TAIL_EPS = 1e-14
+_REF_CUT_EPS = 1e-17
 _GL_MAX_NODES = 2 ** 22
 
 # Panel kernels (see _panel_means): error per mean, rho grid, nodes per block.
@@ -350,10 +356,33 @@ def _require_diffuse(p: ChannelParams) -> None:
         raise ValueError("envelope density requires diffuse_power > 0 (singular otherwise)")
 
 
+def _reference_cut(p: ChannelParams) -> float:
+    """Envelope value b + x*s at and past which the reference laws take
+    1 - F(r) and f(r) to be 0, with b = vt1 + vt2 and s = sqrt(st2).
+
+    Given the tone phases the envelope is Rician with nu <= b, so for r >= b
+    1 - F(r) <= exp(-(r-b)^2 / (2 st2)) and f(r) <= (r/st2) exp(-(r-b)^2 / (2 st2)),
+    and both bounds fall with r wherever r (r-b) > st2.  At r = b + x*s the
+    density bound is g(x) = (b/st2 + x/s) exp(-x^2/2).  x_hi^2 = the larger
+    of 2 ln(2b / (st2 eps)) and 4 ln(2 / (s eps)) holds each term of g to
+    eps/2, as x exp(-x^2/2) < exp(-x^2/4), so g(x_hi) <= eps.  The cut takes
+    x^2 = 2 ln((b/st2 + x_hi/s) / eps) <= x_hi^2, so g(x) <= eps, and
+    1 - F <= exp(-x^2/2) <= eps too.
+    """
+    _require_diffuse(p)
+    b = p.v1 / math.sqrt(p.omega) + p.v2 / math.sqrt(p.omega)
+    st2 = p.diffuse_power / (2.0 * p.omega)
+    s = math.sqrt(st2)
+    x_hi = math.sqrt(max(
+        2 * math.log(max(2 * b / (st2 * _REF_CUT_EPS), 1.0)),
+        4 * math.log(2 / (s * _REF_CUT_EPS)),
+    ))
+    return b + s * math.sqrt(2 * math.log((b / st2 + x_hi / s) / _REF_CUT_EPS))
+
+
 def _reference_hankel_weights(p: ChannelParams, r_max: float):
     """Nodes u and weights w * J0(vt1 u) J0(vt2 u) exp(-st2 u^2 / 2) of the
     reference Hankel integrals, for evaluation points up to ``r_max``."""
-    _require_diffuse(p)
     vt1 = p.v1 / math.sqrt(p.omega)
     vt2 = p.v2 / math.sqrt(p.omega)
     st2 = p.diffuse_power / (2.0 * p.omega)
@@ -372,16 +401,23 @@ def envelope_pdf_reference(p: ChannelParams, z):
 
     with vt_i = v_i/sqrt(omega) and st2 = diffuse_power/(2*omega).  The
     integral is truncated where the Gaussian factor drops below 1e-14 and
-    summed on :func:`_gl_nodes_on` for the frequency max(z) + vt1 + vt2.
+    summed on :func:`_gl_nodes_on` for the frequency z_max + vt1 + vt2, with
+    z_max the largest z below the cut of :func:`_reference_cut`.  At and past
+    the cut the density is exactly 0 with no quadrature: for z >= vt1 + vt2,
+    f(z) <= (z/st2) exp(-(z - vt1 - vt2)^2 / (2 st2)), as each Rician
+    component has nu <= vt1 + vt2, and the cut holds that bound to 1e-17.
     Diffuse-free channels have a singular density and are not supported.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     bad = zs[~np.isfinite(zs) | (zs < 0)]
     if bad.size:
         raise ValueError(f"envelope value must be finite and >= 0, got {bad[0]}")
-    u, weighted = _reference_hankel_weights(p, float(zs.max(initial=0.0)))
-    weighted *= u
-    out = np.array([zv * (special.j0(zv * u) @ weighted) for zv in zs])
+    below = zs < _reference_cut(p)
+    out = np.zeros(zs.size)
+    if np.any(below):
+        u, weighted = _reference_hankel_weights(p, float(zs[below].max()))
+        weighted *= u
+        out[below] = [zv * (special.j0(zv * u) @ weighted) for zv in zs[below]]
     neg = np.flatnonzero(out < -1e-8)
     if neg.size:
         raise ArithmeticError(
@@ -407,11 +443,18 @@ def envelope_cdf_reference(p: ChannelParams, edges) -> np.ndarray:
 
     F(r) = r * int_0^inf J1(r u) J0(vt1 u) J0(vt2 u) exp(-st2 u^2 / 2) du is
     :func:`envelope_pdf_reference` integrated from 0 to r in closed form over
-    z (int_0^r z J0(z u) dz = r J1(r u) / u), on the density's nodes.
+    z (int_0^r z J0(z u) dz = r J1(r u) / u), on the density's nodes, sized
+    by the largest edge below the density's cut.  At and past the cut F is
+    exactly 1 with no quadrature: for r >= vt1 + vt2,
+    1 - F(r) <= exp(-(r - vt1 - vt2)^2 / (2 st2)), at most 1e-17 there.
     """
     edges = _cdf_edges(edges)
-    u, weighted = _reference_hankel_weights(p, float(edges.max(initial=0.0)))
-    cdf = [rv * (special.j1(rv * u) @ weighted) if rv > 0 else 0.0 for rv in edges]
+    cut = _reference_cut(p)
+    cdf = np.where(edges >= cut, 1.0, 0.0)
+    inner = (edges > 0) & (edges < cut)
+    if np.any(inner):
+        u, weighted = _reference_hankel_weights(p, float(edges[inner].max()))
+        cdf[inner] = [rv * (special.j1(rv * u) @ weighted) for rv in edges[inner]]
     return np.clip(cdf, 0.0, 1.0)
 
 

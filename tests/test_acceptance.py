@@ -61,6 +61,7 @@ def grid_for(ens):
     return LagGrid.from_sample_lags(1001, scn.sample_period_s, scn.doppler_hz)
 
 
+@pytest.mark.slow
 def test_criterion_1_kernel_identities():
     checks = []
     checks.append(

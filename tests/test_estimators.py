@@ -508,6 +508,37 @@ class TestLazyEnsemble:
         assert a.observation_time_s == b.observation_time_s
 
 
+class _NoTrials(LazyEnsemble):
+    """A lazy ensemble of no trials, which no valid scenario gives."""
+
+    n_trials = 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lazy", [False, True], ids=["in-memory", "lazy"])
+def test_empty_ensemble(lazy):
+    # Per-trial estimators return no rows; every trial mean is refused.
+    scn = synth_scenario(2, 201)
+    ens = _NoTrials(scn) if lazy else generate_ensemble(scn, range(2, 2))
+    grid = small_grid(scn)
+    thresholds = [0.5, 1.0]
+    assert per_trial_correlation(ens, "rzz", grid).shape == (0, len(grid))
+    for values in per_trial_correlations(ens, ESTIMATOR_KINDS, grid).values():
+        assert values.shape == (0, len(grid))
+    assert per_trial_crossing_rates(ens, thresholds).shape == (0, 2)
+    assert envelope_picks(ens).shape == (0,)
+    means = [
+        lambda: correlation_means(ens, ESTIMATOR_KINDS, grid),
+        lambda: ensemble_correlation(ens, "rxx", grid),
+        lambda: ensemble_mean(ens),
+        lambda: envelope_pdf(ens),
+        lambda: level_crossing_rate(ens, thresholds),
+    ]
+    for estimate in means:
+        with pytest.raises(ValueError, match="empty ensemble"):
+            estimate()
+
+
 class TestEnsembleMean:
     def test_constant_one(self):
         scn = synth_scenario(3, 50)

@@ -414,6 +414,7 @@ class TestEnvelopePdfReference:
         with pytest.raises(ValueError):
             envelope_pdf_reference(from_k_gamma(0.0, 0.0), -0.5)
 
+    @pytest.mark.slow
     def test_against_brute_force_histogram(self):
         # 1e7 draws of the 256-sinusoid composition, 200 bins on [0, 3],
         # agreement within 3 standard errors in every bin
@@ -466,6 +467,65 @@ class TestEnvelopePdfReference:
             envelope_pdf_reference(narrow, 1.0)
         with pytest.raises(ValueError, match="too narrow"):
             envelope_cdf_reference(narrow, [1.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("far", [1e6, 1e13])
+    def test_far_points_take_no_quadrature(self, far):
+        # A far point used to size the nodes for itself and pass the node
+        # budget; past the cut F is 1 and f is 0, and the nodes are sized by
+        # the points below it.
+        p = from_k_gamma(10.0, 0.5)
+        cdf = envelope_cdf_reference(p, [1.0, far])
+        pdf = envelope_pdf_reference(p, [1.0, far])
+        assert cdf.tolist() == [envelope_cdf_reference(p, [1.0])[0], 1.0]
+        assert pdf.tolist() == [envelope_pdf_reference(p, 1.0), 0.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k,gamma", [(0.0, 0.0), (10.0, 0.0), (10.0, 0.5), (1e6, 0.5)])
+    def test_cut_holds_both_tail_bounds(self, k, gamma):
+        p = from_k_gamma(k, gamma)
+        cut = theory._reference_cut(p)
+        b = (p.v1 + p.v2) / math.sqrt(p.omega)
+        st2 = p.diffuse_power / (2.0 * p.omega)
+        tail = math.exp(-((cut - b) ** 2) / (2.0 * st2))
+        assert tail <= 1e-17 and cut / st2 * tail <= 1e-17
+        below = np.nextafter(cut, 0.0)
+        assert envelope_cdf_reference(p, [below, cut])[1] == 1.0
+        assert envelope_pdf_reference(p, [below, cut])[1] == 0.0
+        # The quadrature just below the cut meets those limits.
+        assert envelope_cdf_reference(p, [below])[0] == pytest.approx(1.0, abs=1e-9)
+        assert envelope_pdf_reference(p, below) <= 1e-9
+
+    # Values the quadrature gave before the cut existed, at points below it.
+    BELOW_CUT_VALUES = [
+        (
+            (0.0, 0.0),
+            [0.5, 1.0, 3.0],
+            [0.7788007830714037, 0.7357588823428853, 0.0007404588245247881],
+            [0.22119921692859534, 0.6321205588285579, 0.9998765901959115],
+        ),
+        (
+            (10.0, 0.5),
+            [0.0, 0.25, 1.0, 2.0, 3.0],
+            [0.0, 0.20233641363522303, 0.9843001223369945, 0.0014410859548910776,
+             1.6074381409270089e-15],
+            [0.0, 0.019654366005470214, 0.5462087047689324, 0.9999172644395808,
+             0.9999999999999984],
+        ),
+        (
+            (1e6, 0.5),
+            [0.6, 1.3, 1.345],
+            [0.7957803800678479, 2.044480068398808, 6.203883890635538e-05],
+            [0.20483234027561534, 0.8311094374201131, 0.9999999912941647],
+        ),
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k_gamma,z,pdf,cdf", BELOW_CUT_VALUES)
+    def test_points_below_the_cut_keep_their_values(self, k_gamma, z, pdf, cdf):
+        p = from_k_gamma(*k_gamma)
+        assert envelope_pdf_reference(p, z).tolist() == pdf
+        assert envelope_cdf_reference(p, z).tolist() == cdf
 
     @pytest.mark.parametrize("k,gamma", [(10.0, 1.0), (1000.0, 0.7)])
     def test_cdf_integrates_pdf(self, k, gamma):
