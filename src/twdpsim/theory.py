@@ -362,9 +362,10 @@ def _reference_cut(p: ChannelParams) -> float:
 
     Given the tone phases the envelope is Rician with nu <= b, so for r >= b
     1 - F(r) <= exp(-(r-b)^2 / (2 st2)) and f(r) <= (r/st2) exp(-(r-b)^2 / (2 st2)),
-    and both bounds fall with r wherever r (r-b) > st2.  At r = b + x*s the
-    density bound is g(x) = (b/st2 + x/s) exp(-x^2/2).  x_hi^2 = the larger
-    of 2 ln(2b / (st2 eps)) and 4 ln(2 / (s eps)) holds each term of g to
+    and both bounds fall with r wherever r (r-b) > st2, as past the cut,
+    where x > 8.  At r = b + x*s the density bound is
+    g(x) = (b/st2 + x/s) exp(-x^2/2).  x_hi^2 = the larger of
+    2 ln(2b / (st2 eps)) and 4 ln(2 / (s eps)) holds each term of g to
     eps/2, as x exp(-x^2/2) < exp(-x^2/4), so g(x_hi) <= eps.  The cut takes
     x^2 = 2 ln((b/st2 + x_hi/s) / eps) <= x_hi^2, so g(x) <= eps, and
     1 - F <= exp(-x^2/2) <= eps too.

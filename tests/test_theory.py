@@ -471,9 +471,8 @@ class TestEnvelopePdfReference:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("far", [1e6, 1e13])
     def test_far_points_take_no_quadrature(self, far):
-        # A far point used to size the nodes for itself and pass the node
-        # budget; past the cut F is 1 and f is 0, and the nodes are sized by
-        # the points below it.
+        # Past the cut F is 1 and f is 0 with no quadrature, so a far point
+        # neither passes the node budget nor moves the values below the cut.
         p = from_k_gamma(10.0, 0.5)
         cdf = envelope_cdf_reference(p, [1.0, far])
         pdf = envelope_pdf_reference(p, [1.0, far])
@@ -496,7 +495,8 @@ class TestEnvelopePdfReference:
         assert envelope_cdf_reference(p, [below])[0] == pytest.approx(1.0, abs=1e-9)
         assert envelope_pdf_reference(p, below) <= 1e-9
 
-    # Values the quadrature gave before the cut existed, at points below it.
+    # Quadrature values at points below the cut, pinned bit for bit: they
+    # were the same before the cut existed.
     BELOW_CUT_VALUES = [
         (
             (0.0, 0.0),
