@@ -8,11 +8,12 @@ verifies; per-trial values remain available for standard-error estimates.
 
 Every kind is a fixed real combination of lag-product families
 ab(l) = sum over anchors t of a[t] b[t+l], over three real sequences: x = Re z,
-y = Im z and s = |z|^2.  One table (``_KIND_PARTS``) gives each kind its real
-part and, for rzz, its imaginary part:
+y = Im z and s = |z|^2.  One table, ``theory.KIND_FAMILIES``, gives each kind
+its signed families, and each kind is a part; rzz is the one composite kind,
+made of the parts rzz_re and rzz_im:
 
     rxx = xx   ryy = yy   rxy = xy   ryx = yx   rsq = ss
-    rzz_re = xx + yy      rzz_im = yx - xy      rzz = (xx + yy) + j(yx - xy)
+    rzz_re = xx + yy      rzz_im = yx - xy      rzz = rzz_re + j*rzz_im
 
 The sums are computed as FFT cross-correlations, which is exact (no windowing
 approximations) and returns every lag at once.  Anchors must be non-negative,
@@ -54,14 +55,13 @@ rows, and every trial mean raises ValueError("empty ensemble").
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
 
 from .sos import Ensemble
-from .theory import CorrelationSeries, LagGrid
+from .theory import CORRELATION_KINDS, KIND_FAMILIES, CorrelationSeries, LagGrid
 
 DEFAULT_ANCHOR_STRIDE = 10
 
@@ -71,26 +71,11 @@ _SEQUENCES = {
     "y": lambda z: z.imag,
     "s": lambda z: z.real * z.real + z.imag * z.imag,
 }
-# Per kind: its real part and, for rzz, its imaginary part, each a signed sum
-# of lag-product families ab(l) = sum over anchors t of a[t] b[t+l], with the
-# first term positive.  rzz is z(t) conj(z(t+l)).
-_KIND_PARTS = {
-    "rxx": ("xx",),
-    "ryy": ("yy",),
-    "rxy": ("xy",),
-    "ryx": ("yx",),
-    "rzz": ("xx+yy", "yx-xy"),
-    "rzz_re": ("xx+yy",),
-    "rzz_im": ("yx-xy",),
-    "rsq": ("ss",),
-}
-ESTIMATOR_KINDS = tuple(_KIND_PARTS)
-# Per part, its (sign, family) terms: "yx-xy" gives [("", "yx"), ("-", "xy")].
-_TERMS = {
-    part: re.findall(r"([+-]?)(\w\w)", part)
-    for parts in _KIND_PARTS.values()
-    for part in parts
-}
+# rzz = z(t) conj(z(t+l)) is the one composite kind: its real and imaginary
+# parts are the table kinds rzz_re and rzz_im, and it is listed before them.
+_RZZ_PARTS = ("rzz_re", "rzz_im")
+_RZZ_AT = CORRELATION_KINDS.index(_RZZ_PARTS[0])
+ESTIMATOR_KINDS = (*CORRELATION_KINDS[:_RZZ_AT], "rzz", *CORRELATION_KINDS[_RZZ_AT:])
 
 
 class LagError(ValueError):
@@ -140,16 +125,14 @@ def lag_samples(grid: LagGrid, sample_period_s: float, n_samples: int) -> np.nda
     return lags
 
 
-def default_anchors(
-    n_samples: int, max_lag: int, stride: int = DEFAULT_ANCHOR_STRIDE
-) -> np.ndarray:
-    """Every ``stride``-th sample, excluding the final max-lag window."""
+def default_anchors(n_samples: int, max_lag: int) -> np.ndarray:
+    """Every DEFAULT_ANCHOR_STRIDE-th sample, excluding the final max-lag window."""
     stop = n_samples - max_lag
     if stop < 1:
         raise LagError(
             f"trace length {n_samples} leaves no anchor clear of max lag {max_lag}"
         )
-    return np.arange(0, stop, stride)
+    return np.arange(0, stop, DEFAULT_ANCHOR_STRIDE)
 
 
 def _checked_anchors(anchors, n_samples: int, max_lag: int) -> np.ndarray:
@@ -243,20 +226,25 @@ def _correlation_setup(ens: Ensemble, kinds, grid: LagGrid, anchors):
     return lags, anchors, _Polyphase(start, step, mask, last + max_lag + 1 - start, m)
 
 
+def _parts(kind: str) -> tuple[str, ...]:
+    """The table kinds ``kind`` is made of: itself, or rzz's two parts."""
+    return _RZZ_PARTS if kind == "rzz" else (kind,)
+
+
 def _parts_and_families(kinds):
     """The distinct parts of ``kinds``, and the distinct families they read."""
-    parts = tuple(dict.fromkeys(part for kind in kinds for part in _KIND_PARTS[kind]))
-    families = dict.fromkeys(ab for part in parts for _, ab in _TERMS[part])
+    parts = tuple(dict.fromkeys(part for kind in kinds for part in _parts(kind)))
+    families = dict.fromkeys(ab for part in parts for _, ab in KIND_FAMILIES[part])
     return parts, tuple(families)
 
 
 def _part_spectrum(part: str, family_spectrum) -> np.ndarray:
     """The signed sum of the family spectra of ``part``; family_spectrum(ab)
     returns family ab's spectrum as a new array."""
-    (_, first), *rest = _TERMS[part]
+    (_, first), *rest = KIND_FAMILIES[part]
     total = family_spectrum(first)
     for sign, ab in rest:
-        if sign == "+":
+        if sign > 0:
             total += family_spectrum(ab)
         else:
             total -= family_spectrum(ab)
@@ -266,7 +254,7 @@ def _part_spectrum(part: str, family_spectrum) -> np.ndarray:
 def _kind_values(kind: str, parts: dict) -> np.ndarray:
     """A kind's values from its part values; rzz is assembled from its real
     and imaginary parts, so it equals rzz_re + j*rzz_im bit for bit."""
-    real, *imag = (parts[part] for part in _KIND_PARTS[kind])
+    real, *imag = (parts[part] for part in _parts(kind))
     if not imag:
         return real
     # Fortran order, as for every per-trial array (see per_trial_correlations).
@@ -377,10 +365,9 @@ def decorrelation_stride(scenario) -> int:
     return max(1, math.ceil(2.0 / (scenario.doppler_hz * scenario.sample_period_s)))
 
 
-def envelope_picks(ens: Ensemble, stride: int | None = None) -> np.ndarray:
-    """Decorrelated envelope samples, one per stride per trial."""
-    if stride is None:
-        stride = decorrelation_stride(ens.scenario)
+def envelope_picks(ens: Ensemble) -> np.ndarray:
+    """Decorrelated envelope samples, one per decorrelation_stride per trial."""
+    stride = decorrelation_stride(ens.scenario)
     picks = [np.abs(block[:, ::stride]).ravel() for _, block in ens.blocks()]
     return np.concatenate([np.empty(0), *picks])
 

@@ -37,7 +37,14 @@ from scipy import special
 from .params import TWO_PI, ChannelParams
 from .sos import phasor_sum_bound
 
-CORRELATION_KINDS = ("rxx", "ryy", "rxy", "ryx", "rzz_re", "rzz_im", "rsq")
+# The one table of correlation kinds.  Each is a signed sum of lag-product
+# families ab(l) = sum over t of a[t] b[t+l], over x = Re z, y = Im z and
+# s = |z|^2, its first term positive; Rzz = (xx + yy) + j(yx - xy).
+KIND_FAMILIES = {
+    "rxx": ((1, "xx"),), "ryy": ((1, "yy"),), "rxy": ((1, "xy"),), "ryx": ((1, "yx"),),
+    "rzz_re": ((1, "xx"), (1, "yy")), "rzz_im": ((1, "yx"), (-1, "xy")), "rsq": ((1, "ss"),),
+}
+CORRELATION_KINDS = tuple(KIND_FAMILIES)
 
 # Envelope-law Hankel integrals: Gauss-Legendre nodes per period of the
 # fastest oscillation, the reference laws' Gaussian tail cut (integrate u only
@@ -94,10 +101,10 @@ class LagGrid:
 
     @classmethod
     def from_sample_lags(
-        cls, n_lags: int, sample_period_s: float, doppler_hz: float, stride: int = 1
+        cls, n_lags: int, sample_period_s: float, doppler_hz: float
     ) -> "LagGrid":
-        """Grid of ``n_lags`` consecutive multiples of ``stride`` samples."""
-        return cls(np.arange(n_lags) * (stride * sample_period_s), doppler_hz)
+        """Grid of the first ``n_lags`` sample lags, 0 to n_lags - 1."""
+        return cls(np.arange(n_lags) * sample_period_s, doppler_hz)
 
 
 @dataclass(frozen=True, eq=False)

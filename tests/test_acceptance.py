@@ -389,7 +389,7 @@ def test_criterion_8_wide_sense_stationarity(ensembles_m2000):
         )
     )
 
-    grid = LagGrid.from_sample_lags(101, scn.sample_period_s, scn.doppler_hz, stride=10)
+    grid = LagGrid(np.arange(101) * (10 * scn.sample_period_s), scn.doppler_hz)
     stop = scn.n_samples - 1000
     early = np.arange(0, stop // 2, 10)
     late = np.arange(stop // 2, stop, 10)

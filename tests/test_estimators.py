@@ -423,9 +423,7 @@ class TestEnsembleCorrelationStatistical:
         # combined standard errors
         ens = corr_ensembles_m500[(10.0, 0.5)]
         scn = ens.scenario
-        grid = LagGrid.from_sample_lags(
-            101, scn.sample_period_s, scn.doppler_hz, stride=10
-        )
+        grid = LagGrid(np.arange(101) * (10 * scn.sample_period_s), scn.doppler_hz)
         max_lag = 1000
         stop = scn.n_samples - max_lag
         early = np.arange(0, stop // 2, 10)
