@@ -51,11 +51,12 @@ CORRELATION_KINDS = tuple(KIND_FAMILIES)
 # while exp(-sigma^2 u^2 / 2) >= 1e-14), the bound on 1 - F and on f past the
 # reference laws' envelope cut (see _reference_cut), and a budget of 32 MiB
 # per float64 node array, which a too narrow diffuse part (K past ~5e8 on
-# [0, 3]) exceeds.
+# [0, 3]) exceeds.  A diffuse width that underflows to 0 is refused likewise.
 _GL_ORDER = 24
 _PDF_TAIL_EPS = 1e-14
 _REF_CUT_EPS = 1e-17
 _GL_MAX_NODES = 2 ** 22
+_TOO_NARROW = "diffuse part too narrow for the envelope quadrature"
 
 # Panel kernels (see _panel_means): error per mean, rho grid, nodes per block.
 _PANEL_TOL = 1e-16
@@ -146,7 +147,7 @@ def _gl_nodes_on(u_max: float, freq: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, u_max], 24 per period of freq."""
     n_panels = max(1, math.ceil(u_max * freq / TWO_PI))
     if n_panels * _GL_ORDER > _GL_MAX_NODES:
-        raise ValueError("diffuse part too narrow for the envelope quadrature")
+        raise ValueError(_TOO_NARROW)
     xi, wi = _gl_nodes(_GL_ORDER)
     half = u_max / (2 * n_panels)
     u = ((2 * np.arange(n_panels) + 1)[:, None] * half + half * xi).ravel()
@@ -375,11 +376,15 @@ def _reference_cut(p: ChannelParams) -> float:
     2 ln(2b / (st2 eps)) and 4 ln(2 / (s eps)) holds each term of g to
     eps/2, as x exp(-x^2/2) < exp(-x^2/4), so g(x_hi) <= eps.  The cut takes
     x^2 = 2 ln((b/st2 + x_hi/s) / eps) <= x_hi^2, so g(x) <= eps, and
-    1 - F <= exp(-x^2/2) <= eps too.
+    1 - F <= exp(-x^2/2) <= eps too.  A diffuse part so narrow that
+    st2 * eps underflows to 0 is refused as too narrow, as the node budget
+    refuses one slightly wider.
     """
     _require_diffuse(p)
     b = p.v1 / math.sqrt(p.omega) + p.v2 / math.sqrt(p.omega)
     st2 = p.diffuse_power / (2.0 * p.omega)
+    if st2 * _REF_CUT_EPS == 0:
+        raise ValueError(_TOO_NARROW)
     s = math.sqrt(st2)
     x_hi = math.sqrt(max(
         2 * math.log(max(2 * b / (st2 * _REF_CUT_EPS), 1.0)),
@@ -504,10 +509,14 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
     tones and far smaller for larger N.  Halving the step or moving U by a
     factor 2.5 either way changes no value by more than 1e-13.
 
-    Raises ValueError for fewer than 3 sinusoids (the integral diverges at
-    N <= 2 without tones), for a channel without diffuse power, and, before
-    the head runs, when the tail's 2^tones * (N+1) terms times its ray nodes
-    pass _GL_MAX_NODES (N near 9000 with two tones).
+    Raises ValueError, before either integral runs, for fewer than 3
+    sinusoids (the integral diverges at N <= 2 without tones), for a channel
+    without diffuse power, when the tail's 2^tones * (N+1) terms times its
+    ray nodes pass _GL_MAX_NODES (N near 9000 with two tones), and, as "too
+    narrow", for a diffuse part whose head passes _GL_MAX_NODES or whose
+    path amplitude a underflows to 0.  The head runs before the tail, so a
+    diffuse part that narrow is refused before the tail reads its ray, which
+    is then empty.
     """
     if n_sinusoids < 3:
         raise ValueError(
@@ -519,6 +528,8 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
         raise ValueError(f"envelope value must be >= 0, got {edges[0]}")
     tones = [v / math.sqrt(p.omega) for v in (p.v1, p.v2) if v > 0]
     a = math.sqrt(p.diffuse_power / (n_sinusoids * p.omega))
+    if a == 0:
+        raise ValueError(_TOO_NARROW)
     split = _KLUYVER_SPLIT / a
     # The envelope never passes this bound, so F_N is 1 from there on.
     bound = phasor_sum_bound(p, n_sinusoids)
@@ -526,8 +537,9 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
     inner = (edges > 0) & (edges < bound)
     if np.any(inner):
         r = edges[inner]
-        cdf[inner] = _kluyver_tail(r, tones, a, n_sinusoids, split) + _kluyver_head(
-            r, tones, a, n_sinusoids, split
+        ray = _kluyver_ray(float(r.max()), tones, a, n_sinusoids, split)
+        cdf[inner] = _kluyver_head(r, tones, a, n_sinusoids, split) + _kluyver_tail(
+            r, tones, a, n_sinusoids, split, *ray
         )
     return np.clip(cdf, 0.0, 1.0)
 
@@ -540,15 +552,21 @@ def _kluyver_head(r, tones, a, n, split) -> np.ndarray:
     return np.array([rv * special.j1(rv * u) @ weighted for rv in r])
 
 
-def _kluyver_tail(r, tones, a, n, split) -> np.ndarray:
+def _kluyver_ray(r_max, tones, a, n, split) -> tuple[np.ndarray, np.ndarray]:
+    """The tail's exp-sinh nodes t and weights up the ray split + i*t, cut
+    where the largest Bessel argument passes _HANKEL_Z_MAX; refused when its
+    2^tones * (n+1) terms times the nodes pass _GL_MAX_NODES."""
     half_count = round(_EXPSINH_HALF_WIDTH / _EXPSINH_STEP)
     x = np.arange(-half_count, half_count + 1) * _EXPSINH_STEP
     t = split * np.exp(0.5 * np.pi * np.sinh(x))
     wt = t * (0.5 * np.pi * _EXPSINH_STEP) * np.cosh(x)
-    keep = (split + t) * max([a, float(r.max())] + tones) <= _HANKEL_Z_MAX
-    t, wt = t[keep], wt[keep]
-    if 2 ** len(tones) * (n + 1) * t.size > _GL_MAX_NODES:
+    keep = (split + t) * max([a, r_max] + tones) <= _HANKEL_Z_MAX
+    if 2 ** len(tones) * (n + 1) * np.count_nonzero(keep) > _GL_MAX_NODES:
         raise ValueError(f"n_sinusoids = {n} exceeds the envelope-tail term budget")
+    return t[keep], wt[keep]
+
+
+def _kluyver_tail(r, tones, a, n, split, t, wt) -> np.ndarray:
     z = split + 1j * t
 
     # Log of the r-independent factors of every term (tone signs and the

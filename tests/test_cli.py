@@ -335,10 +335,16 @@ class TestCliDispatch:
         assert "error: bins must be >= 2" in capsys.readouterr().err
 
     def test_pdf_oracle_node_budget_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "narrow.cfg"
-        cfg.write_text("k = 1e12\ngamma = 0.5\nn_trials = 2\nn_samples = 101\n")
-        assert cli_dispatch(["pdf", "--config", str(cfg)]) == 2
-        assert "diffuse part too narrow" in capsys.readouterr().err
+        # K = 1e12 passes the node budget; a diffuse power of 5e-324
+        # underflows the reference cut.  Both are refused the same way.
+        for text in (
+            "k = 1e12\ngamma = 0.5\nn_trials = 2\nn_samples = 101\n",
+            "v1 = 1\nv2 = 0\ndiffuse_power = 5e-324\nn_trials = 1\nn_samples = 101\n",
+        ):
+            cfg = tmp_path / "narrow.cfg"
+            cfg.write_text(text)
+            assert cli_dispatch(["pdf", "--config", str(cfg)]) == 2
+            assert "error: diffuse part too narrow" in capsys.readouterr().err
 
     def test_panel_kernel_node_budget_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "many.cfg"

@@ -455,18 +455,25 @@ class TestEnvelopePdfReference:
         assert abs(envelope_pdf_reference(p, z) - pdf) <= 1e-12
         assert abs(envelope_cdf_reference(p, [z])[0] - cdf) <= 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_narrow_diffuse_part(self):
         # At K=1e6 (sigma ~ 7e-4) the mass sits between |vt1 - vt2| and
-        # vt1 + vt2; at K=1e12 the node budget refuses before allocating.
+        # vt1 + vt2; at K=1e12 the node budget refuses before allocating, and
+        # a diffuse power of 1e-310 or 5e-324 makes the cut's st2 * 1e-17
+        # underflow to 0, which is refused the same way.
         p = from_k_gamma(1e6, 0.5)
         vt1, vt2 = p.v1 / math.sqrt(p.omega), p.v2 / math.sqrt(p.omega)
         cdf = envelope_cdf_reference(p, [vt1 - vt2 - 0.01, vt1 + vt2 + 0.01])
         assert np.abs(cdf - [0.0, 1.0]).max() <= 1e-9
-        narrow = from_k_gamma(1e12, 0.5)
-        with pytest.raises(ValueError, match="too narrow"):
-            envelope_pdf_reference(narrow, 1.0)
-        with pytest.raises(ValueError, match="too narrow"):
-            envelope_cdf_reference(narrow, [1.0])
+        for narrow in (
+            from_k_gamma(1e12, 0.5),
+            ChannelParams.from_components(1.0, 0.0, 1e-310),
+            ChannelParams.from_components(1.0, 0.0, 5e-324),
+        ):
+            with pytest.raises(ValueError, match="diffuse part too narrow"):
+                envelope_pdf_reference(narrow, 1.0)
+            with pytest.raises(ValueError, match="diffuse part too narrow"):
+                envelope_cdf_reference(narrow, [1.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("far", [1e6, 1e13])
@@ -722,6 +729,15 @@ class TestEnvelopeCdfSimulator:
     def test_rejects_no_diffuse(self):
         with pytest.raises(ValueError, match="diffuse"):
             envelope_cdf_simulator(ChannelParams.from_components(1.0, 0.5, 0.0), 8, [1.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("diffuse_power", [1e-30, 1e-300, 5e-324])
+    def test_narrow_diffuse_part(self, diffuse_power):
+        # The head's node budget refuses before the tail reads its ray, empty
+        # here; at 5e-324 the path amplitude a underflows to 0.
+        p = ChannelParams.from_components(1.0, 0.5, diffuse_power)
+        with pytest.raises(ValueError, match="diffuse part too narrow"):
+            envelope_cdf_simulator(p, 8, [0.5, 1.0])
 
     def test_tail_term_budget(self):
         # Two tones and r <= 3 keep 117 ray nodes near N = 9000, so the tail's
