@@ -46,8 +46,10 @@ Every estimator reads its ensemble through ``blocks()`` (see ``sos``), a
 block of ``sos.TRIAL_BLOCK`` trials at a time, and reduces each block as one
 unit, so a ``LazyEnsemble`` is never whole in memory: per-trial results are
 filled in block by block, trial sums add one block after another in trial
-order, and envelope picks are taken per block.  Every result is therefore
-the same, bit for bit, for an in-memory and a lazy ensemble of one scenario.
+order, and envelope picks are taken per block, from ``blocks(stride)`` at
+``decorrelation_stride``, so a lazy ensemble synthesizes the picks alone.
+Every result is therefore the same, bit for bit, for an in-memory and a lazy
+ensemble of one scenario.
 On an ensemble of no trials the per-trial estimators return arrays of no
 rows, and every trial mean raises ValueError("empty ensemble").
 """
@@ -366,9 +368,13 @@ def decorrelation_stride(scenario) -> int:
 
 
 def envelope_picks(ens: Ensemble) -> np.ndarray:
-    """Decorrelated envelope samples, one per decorrelation_stride per trial."""
+    """Decorrelated envelope samples, one per decorrelation_stride per trial.
+
+    The ensemble's blocks are read at that stride, so a ``LazyEnsemble``
+    synthesizes only the picks (see ``sos.generate_trace``).
+    """
     stride = decorrelation_stride(ens.scenario)
-    picks = [np.abs(block[:, ::stride]).ravel() for _, block in ens.blocks()]
+    picks = [np.abs(block).ravel() for _, block in ens.blocks(stride)]
     return np.concatenate([np.empty(0), *picks])
 
 
@@ -405,8 +411,10 @@ def per_trial_crossing_rates(
 
     An upward crossing is a sample pair (at-or-below, above): one comparison
     per sample marks it above or not, and a crossing is a not-above sample
-    followed by an above one.  Counts divide by the per-trial observation time
-    and the maximum Doppler frequency.
+    followed by an above one, which is the one mask above[1:] > above[:-1].
+    Each trial's mask is counted by ``np.count_nonzero`` without an axis,
+    numpy's fast path for a bool array.  Counts divide by the per-trial
+    observation time and the maximum Doppler frequency.
     """
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
     if not np.all(thresholds >= 0):  # NaN fails this too
@@ -418,8 +426,8 @@ def per_trial_crossing_rates(
         env = np.abs(block)
         for j, rho in enumerate(thresholds):
             above = env > rho
-            ups = (above[:, 1:] & ~above[:, :-1]).sum(axis=1)
-            rates[rows, j] = ups / obs_time / scn.doppler_hz
+            ups = [np.count_nonzero(trial) for trial in above[:, 1:] > above[:, :-1]]
+            rates[rows, j] = np.array(ups) / obs_time / scn.doppler_hz
     return rates
 
 

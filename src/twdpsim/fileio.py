@@ -67,7 +67,15 @@ def _open(target, mode: str):
 
 
 def write_trace(trace: FadingTrace, sink) -> None:
-    """Write one trace (header + interleaved f64 IQ payload) to a path or file."""
+    """Write one trace (header + interleaved f64 IQ payload) to a path or file.
+
+    The header carries the scenario's sample period, so a strided trace,
+    whose samples are further apart, is refused.
+    """
+    if trace.stride != 1:
+        raise ValueError(
+            f"write_trace stores whole traces, not every {trace.stride}th sample"
+        )
     scn = trace.scenario
     header = _HEADER.pack(
         TRACE_MAGIC,

@@ -23,25 +23,45 @@ trades the head's n/B rows against the tail's B columns and keeps both small
 for traces of 10^3 to 10^5 samples.  The product rounds differently from the
 direct sum, by about 1e-13 on unit-power traces.
 
+A trace at a sample ``stride`` holds samples t = 0, stride, 2*stride, ...
+only.  Sample t is entry (t // B, t % B) of the product, so a strided trace
+computes only the head rows unique(t // B), by the same expression,
+multiplies them by the same tail and gathers those entries.  It equals
+``samples[::stride]`` of the full trace bit for bit, because BLAS rounds each
+row of a product the same whatever the number of rows, with one exception: a
+one-row product takes BLAS's matrix-vector path, which rounds differently.
+So a strided trace computes at least two head rows whenever the full trace
+has two (the two-row rule).  BLAS does not promise the rest; the tests pin
+it, and CI compares validation reports at one and at several BLAS threads.
+At 40000 samples and the pdf check's stride of 200 the head shrinks from 625
+rows to 200.
+
 Randomness comes from one Philox substream per (seed, trial_index), so every
 trial is reproducible in isolation and ensembles are independent of execution
-order.  The tone phase rates are the scenario's ``rates``, and a
-``FadingTrace`` is its samples, trial index and scenario: sample period, seed
-and scenario digest are read off the scenario.
+order.  Each thread keeps one Philox and resets it for every trial to the
+state ``Philox(key=[seed, trial_index])`` starts in, which skips the
+constructor's OS-entropy SeedSequence; one uniform draw of 2N+2 angles then
+gives the same doubles as one draw per angle group.  The tone phase rates are
+the scenario's ``rates``, and a ``FadingTrace`` is its samples, trial index,
+scenario and stride: seed and scenario digest are read off the scenario, and
+the sample period is the scenario's times the stride.
 
-An ensemble is read block by block: ``blocks()`` yields consecutive trials,
-``TRIAL_BLOCK`` at a time, as (rows, samples) pairs.  A ``TraceEnsemble``
-holds its samples in memory and yields row views of them; a ``LazyEnsemble``
-holds only its scenario and synthesizes each block on demand with
-``generate_ensemble(scenario, trials)``, so at most a block or two of its
-trials exist at once.  Both yield the same arrays for the same scenario.
-Every estimator reduces one block at a time, so ``TRIAL_BLOCK`` is the one
-trial grain of the package.
+An ensemble is read block by block: ``blocks(stride)`` yields consecutive
+trials, ``TRIAL_BLOCK`` at a time, as (rows, samples) pairs, at every
+``stride``-th sample (default 1, every sample).  A ``TraceEnsemble`` holds its
+samples in memory and yields row views of them; a ``LazyEnsemble`` holds only
+its scenario and synthesizes each block on demand with
+``generate_ensemble(scenario, trials, stride)``, so at most a block or two of
+its trials exist at once, and only the samples read.  Both yield the same
+arrays for the same scenario and stride.  Every estimator reduces one block at
+a time, so ``TRIAL_BLOCK`` is the one trial grain of the package.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +97,19 @@ class DiffuseRealization:
 class FadingTrace:
     """One trial's complex lowpass samples, its trial index and its scenario.
 
-    Sample period, seed and scenario digest are read off the scenario.
+    ``samples`` are the scenario's samples 0, stride, 2*stride, ...; seed
+    and scenario digest are read off the scenario, and the sample period is
+    the scenario's times ``stride``.
     """
 
     samples: np.ndarray
     trial_index: int
     scenario: ValidatedScenario
+    stride: int = 1
 
     @property
     def sample_period_s(self) -> float:
-        return self.scenario.sample_period_s
+        return self.scenario.sample_period_s * self.stride
 
     @property
     def seed(self) -> int:
@@ -102,23 +125,32 @@ def _trial_blocks(n_trials: int):
     return (slice(i, min(i + TRIAL_BLOCK, n_trials)) for i in range(0, n_trials, TRIAL_BLOCK))
 
 
+def _checked_stride(stride) -> int:
+    """``stride`` once it is known to be a positive integer."""
+    if operator.index(stride) < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride!r}")
+    return stride
+
+
 @dataclass(frozen=True, eq=False)
 class TraceEnsemble:
     """Consecutive trials of one scenario held in memory, in trial order.
 
-    ``sample_matrix`` holds the samples as one (n_trials, n_samples) complex
-    array; row i is trial ``first_trial + i``.
+    ``sample_matrix`` holds the samples as one (n_trials, n_picks) complex
+    array; row i is trial ``first_trial + i`` at samples 0, stride,
+    2*stride, ..., so n_picks = n_samples for the default stride 1.
     """
 
     sample_matrix: np.ndarray
     scenario: ValidatedScenario
     first_trial: int = 0
+    stride: int = 1
 
     @property
     def traces(self) -> tuple[FadingTrace, ...]:
         """One FadingTrace per trial; each one's samples are a row view."""
         return tuple(
-            FadingTrace(row, self.first_trial + i, self.scenario)
+            FadingTrace(row, self.first_trial + i, self.scenario, self.stride)
             for i, row in enumerate(self.sample_matrix)
         )
 
@@ -126,11 +158,19 @@ class TraceEnsemble:
     def n_trials(self) -> int:
         return self.sample_matrix.shape[0]
 
-    def blocks(self):
+    def blocks(self, stride: int = 1):
         """Yield (rows, samples) per ``TRIAL_BLOCK`` trials: the slice of
-        ``sample_matrix`` rows and a view of them."""
+        ``sample_matrix`` rows and a view of them at every ``stride``-th
+        sample.  Refused on a strided ensemble, whose rows are picks and not
+        the traces every estimator reads."""
+        if self.stride != 1:
+            raise ValueError(
+                f"a stride-{self.stride} ensemble holds picks, not traces; "
+                "blocks() reads traces"
+            )
+        _checked_stride(stride)
         for rows in _trial_blocks(self.n_trials):
-            yield rows, self.sample_matrix[rows]
+            yield rows, self.sample_matrix[rows, ::stride]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,16 +188,46 @@ class LazyEnsemble:
     def n_trials(self) -> int:
         return self.scenario.n_trials
 
-    def blocks(self):
+    def blocks(self, stride: int = 1):
         """Yield (rows, samples) per ``TRIAL_BLOCK`` trials: the slice of trial
-        indices and the samples of ``generate_ensemble`` for them."""
+        indices and the samples of ``generate_ensemble`` for them, which
+        synthesizes every ``stride``-th sample only."""
         for rows in _trial_blocks(self.n_trials):
-            block = generate_ensemble(self.scenario, range(rows.start, rows.stop))
+            block = generate_ensemble(self.scenario, range(rows.start, rows.stop), stride)
             yield rows, block.sample_matrix
 
 
 # What the estimators read: either kind of ensemble.
 Ensemble = TraceEnsemble | LazyEnsemble
+
+
+# Each thread's Generator over one Philox, which draw_trial_randoms resets to
+# the start of a trial's substream before every draw; no state outlives a call.
+_THREAD = threading.local()
+
+
+def _substream(seed: int, trial_index: int) -> np.random.Generator:
+    """This thread's generator at the start of substream (seed, trial_index).
+
+    The state is the one ``Philox(key=[seed, trial_index])`` starts in: counter
+    0, that key and an empty buffer.  Setting it skips the OS-entropy
+    SeedSequence that the constructor builds and then discards.
+    """
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, trial_index], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def draw_trial_randoms(
@@ -166,14 +236,13 @@ def draw_trial_randoms(
     """Draw all random angles for one trial from its keyed substream.
 
     Returns the two specular initial phases and the diffuse realization.  The
-    2N+2 angles are i.i.d. uniform on [-pi, pi); identical (seed, trial_index,
-    n_sinusoids) always produce identical output.
+    2N+2 angles are i.i.d. uniform on [-pi, pi), drawn in the order phi1,
+    phi2, thetas, init_phases; identical (seed, trial_index, n_sinusoids)
+    always produce identical output.
     """
-    key = np.array([seed, trial_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    phi1, phi2 = rng.uniform(-np.pi, np.pi, size=2)
-    thetas = rng.uniform(-np.pi, np.pi, size=n_sinusoids)
-    init_phases = rng.uniform(-np.pi, np.pi, size=n_sinusoids)
+    angles = _substream(seed, trial_index).uniform(-np.pi, np.pi, size=2 * n_sinusoids + 2)
+    phi1, phi2 = angles[:2]
+    thetas, init_phases = angles[2:].reshape(2, n_sinusoids)
     i = np.arange(1, n_sinusoids + 1)
     aoas = wrap_angle((TWO_PI * i + thetas) / n_sinusoids)
     return phi1, phi2, DiffuseRealization(n_sinusoids, thetas, init_phases, aoas)
@@ -207,12 +276,16 @@ def diffuse_sample(
     return complex(total) if t_arr.ndim == 0 else total
 
 
-def generate_trace(scenario: ValidatedScenario, trial_index: int) -> FadingTrace:
+def generate_trace(
+    scenario: ValidatedScenario, trial_index: int, stride: int = 1
+) -> FadingTrace:
     """Generate one trial's normalized fading trace deterministically.
 
-    Evaluates the module's z(t) by block factorization; see the module
-    docstring.
+    Evaluates the module's z(t) by block factorization at samples 0, stride,
+    2*stride, ...; the result equals ``samples[::stride]`` of the stride-1
+    trace bit for bit.  See the module docstring.
     """
+    _checked_stride(stride)
     phi1, phi2, real = draw_trial_randoms(
         scenario.seed, trial_index, scenario.n_sinusoids
     )
@@ -227,22 +300,31 @@ def generate_trace(scenario: ValidatedScenario, trial_index: int) -> FadingTrace
         (scenario.rates, TWO_PI * scenario.doppler_hz * np.cos(real.aoas))
     )
     n = scenario.n_samples
-    n_blocks = -(-n // BLOCK)
-    t_head = np.arange(n_blocks) * (BLOCK * scenario.sample_period_s)
+    if stride == 1:
+        head_rows = np.arange(-(-n // BLOCK))
+    else:
+        t = np.arange(0, n, stride)
+        head_rows, row_of = np.unique(t // BLOCK, return_inverse=True)
+        if head_rows.size == 1 and n > BLOCK:
+            # The two-row rule; see the module docstring.  Every pick is in
+            # row 0 here, so row_of still points at it.
+            head_rows = np.arange(2)
+    t_head = head_rows * (BLOCK * scenario.sample_period_s)
     t_tail = np.arange(BLOCK) * scenario.sample_period_s
     head = amps * np.exp(1j * (phases + np.multiply.outer(t_head, rates)))
     tail = np.exp(1j * np.multiply.outer(rates, t_tail))
-    z = (head @ tail).ravel()[:n]
-    return FadingTrace(z, trial_index, scenario)
+    product = head @ tail
+    z = product.ravel()[:n] if stride == 1 else product[row_of, t % BLOCK]
+    return FadingTrace(z, trial_index, scenario, stride)
 
 
 def generate_ensemble(
-    scenario: ValidatedScenario, trials: range | None = None
+    scenario: ValidatedScenario, trials: range | None = None, stride: int = 1
 ) -> TraceEnsemble:
     """Generate the traces of ``trials`` (default: all n_trials) into one
-    (len(trials), n_samples) array; row i is ``generate_trace`` of trial
-    ``trials[i]``.  ``trials`` must be a step-1 range inside
-    ``range(n_trials)``.
+    (len(trials), n_picks) array; row i is ``generate_trace`` of trial
+    ``trials[i]`` at the sample ``stride``.  ``trials`` must be a step-1
+    range inside ``range(n_trials)``.
     """
     if trials is None:
         trials = range(scenario.n_trials)
@@ -255,10 +337,11 @@ def generate_ensemble(
             f"trials must be a step-1 range inside range({scenario.n_trials}), "
             f"got {trials!r}"
         )
-    z = np.empty((len(trials), scenario.n_samples), dtype=complex)
+    n_picks = -(-scenario.n_samples // _checked_stride(stride))
+    z = np.empty((len(trials), n_picks), dtype=complex)
     for row, idx in enumerate(trials):
-        z[row] = generate_trace(scenario, idx).samples
-    return TraceEnsemble(sample_matrix=z, scenario=scenario, first_trial=trials.start)
+        z[row] = generate_trace(scenario, idx, stride).samples
+    return TraceEnsemble(z, scenario, trials.start, stride)
 
 
 def envelope_bound(scenario: ValidatedScenario) -> float:

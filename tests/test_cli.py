@@ -242,7 +242,8 @@ class TestCliDispatch:
         monkeypatch.setattr(
             sos,
             "generate_ensemble",
-            lambda scn, trials=None: sizes.append(len(trials)) or original(scn, trials),
+            lambda scn, trials=None, stride=1: sizes.append(len(trials))
+            or original(scn, trials, stride),
         )
         out = tmp_path / "out.csv"
         args = [command, "--config", str(cfg), "--out", str(out)]

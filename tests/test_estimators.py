@@ -668,16 +668,19 @@ class TestLevelCrossingRate:
 
     def test_counts_equal_the_two_comparison_definition(self):
         # A crossing is a pair (at-or-below, above).  Thresholds equal to
-        # sample values put samples exactly on the `<=` tie.
-        scn = synth_scenario(7, 400)
-        rng = np.random.default_rng(61)
-        z = rng.standard_normal((7, 400)) + 1j * rng.standard_normal((7, 400))
-        ens = synthetic_ensemble(z, scn)
-        env = np.abs(z)
-        thresholds = np.concatenate(([0.0, 0.5, 1.0], env[0, :40], env[3, 200:220]))
-        rates = per_trial_crossing_rates(ens, thresholds)
-        obs_time = (400 - 1) * scn.sample_period_s
-        for j, rho in enumerate(thresholds):
-            ups = ((env[:, :-1] <= rho) & (env[:, 1:] > rho)).sum(axis=1)
-            assert rates[:, j].tobytes() == (ups / obs_time / scn.doppler_hz).tobytes()
-        assert np.any(rates > 0)
+        # sample values put samples exactly on the `<=` tie.  37 trials are
+        # more than one TRIAL_BLOCK.
+        for n_trials in (7, 37):
+            scn = synth_scenario(n_trials, 400)
+            rng = np.random.default_rng(61)
+            z = rng.standard_normal((n_trials, 400)) + 1j * rng.standard_normal((n_trials, 400))
+            ens = synthetic_ensemble(z, scn)
+            env = np.abs(z)
+            thresholds = np.concatenate(([0.0, 0.5, 1.0], env[0, :40], env[3, 200:220]))
+            rates = per_trial_crossing_rates(ens, thresholds)
+            obs_time = (400 - 1) * scn.sample_period_s
+            for j, rho in enumerate(thresholds):
+                ups = ((env[:, :-1] <= rho) & (env[:, 1:] > rho)).sum(axis=1)
+                want = ups / obs_time / scn.doppler_hz
+                assert rates[:, j].tobytes() == want.tobytes(), (n_trials, j)
+            assert np.any(rates > 0)

@@ -43,6 +43,12 @@ class TestTraceRoundTrip:
         assert back.trial_index == trace.trial_index
         assert back.seed == trace.seed
 
+    def test_strided_trace_refused(self):
+        trace = sample_trace()
+        strided = generate_trace(trace.scenario, trace.trial_index, 10)
+        with pytest.raises(ValueError, match="not every 10th sample"):
+            write_trace(strided, io.BytesIO())
+
     def test_bytes_fixed_point(self):
         # writing what was read reproduces the file bit for bit
         trace = sample_trace(seed=9)

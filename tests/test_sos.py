@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from twdpsim.sos import (
     TRIAL_BLOCK,
     DiffuseRealization,
     LazyEnsemble,
+    TraceEnsemble,
     diffuse_sample,
     draw_trial_randoms,
     envelope_bound,
@@ -51,7 +54,70 @@ GOLDEN_SAMPLES = (
 )
 
 
+def three_call_randoms(seed, trial_index, n_sinusoids):
+    """The draw as three uniform calls on a fresh Generator(Philox(key))."""
+    key = np.array([seed, trial_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    phi1, phi2 = rng.uniform(-np.pi, np.pi, size=2)
+    thetas = rng.uniform(-np.pi, np.pi, size=n_sinusoids)
+    init_phases = rng.uniform(-np.pi, np.pi, size=n_sinusoids)
+    return phi1, phi2, thetas, init_phases
+
+
+def assert_draw_is(got, want):
+    phi1, phi2, real = got
+    assert (phi1, phi2) == want[:2]
+    assert real.thetas.tobytes() == want[2].tobytes()
+    assert real.init_phases.tobytes() == want[3].tobytes()
+
+
 class TestDrawTrialRandoms:
+    @pytest.mark.parametrize("n_sinusoids", [1, 8, 64])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_equals_three_calls_on_a_fresh_philox(self, seed, n_sinusoids):
+        for trial in (0, 1, 5, 2**64 - 1):
+            assert_draw_is(
+                draw_trial_randoms(seed, trial, n_sinusoids),
+                three_call_randoms(seed, trial, n_sinusoids),
+            )
+
+    def test_equals_three_calls_when_threads_interleave(self):
+        # Two threads draw alternately under a short switch interval; each
+        # thread's generator is reset per draw, so no draw sees another's.
+        cases = [
+            (seed, trial, n)
+            for seed in (0, 7, 2**64 - 1)
+            for trial in range(40)
+            for n in (1, 8, 64)
+        ]
+        want = {case: three_call_randoms(*case) for case in cases}
+        got = [{}, {}]
+        barrier = threading.Barrier(2, timeout=30)
+
+        def draw(out, order):
+            barrier.wait()
+            for case in order:
+                out[case] = draw_trial_randoms(*case)
+
+        threads = [
+            threading.Thread(target=draw, args=(got[0], cases)),
+            threading.Thread(target=draw, args=(got[1], cases[::-1])),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for out in got:
+            assert len(out) == len(cases)
+            for case in cases:
+                assert_draw_is(out[case], want[case])
+
     def test_deterministic(self):
         a = draw_trial_randoms(1234, 17, 8)
         b = draw_trial_randoms(1234, 17, 8)
@@ -192,6 +258,50 @@ class TestGenerateTrace:
         assert np.all(np.isfinite(tr.samples.view(float)))
 
 
+# n_samples not a multiple of BLOCK, strides below, at and above BLOCK, and
+# strides at and past n_samples, where one pick lies in the first head row.
+@pytest.mark.parametrize(
+    "n_samples, stride",
+    [
+        (1001, 2),
+        (1001, 63),
+        (1001, 64),
+        (1001, 65),
+        (1001, 200),
+        (1001, 1000),
+        (1001, 1001),
+        (1001, 5000),
+        (65, 63),
+        (65, 64),
+        (130, 200),
+        (40, 3),
+        (40, 40),
+    ],
+)
+def test_strided_trace_is_every_stride_th_sample(n_samples, stride):
+    scn = small_scenario(n_samples=n_samples)
+    for trial in range(6):
+        full = generate_trace(scn, trial)
+        picks = generate_trace(scn, trial, stride)
+        assert picks.samples.tobytes() == full.samples[::stride].tobytes()
+        assert picks.stride == stride and picks.trial_index == trial
+        assert picks.sample_period_s == stride * full.sample_period_s
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_stride_must_be_positive(stride):
+    scn = small_scenario(n_trials=2, n_samples=100)
+    with pytest.raises(ValueError, match="stride must be a positive integer"):
+        generate_trace(scn, 0, stride)
+    with pytest.raises(ValueError, match="stride must be a positive integer"):
+        generate_ensemble(scn, stride=stride)
+    for ens in (LazyEnsemble(scn), generate_ensemble(scn)):
+        with pytest.raises(ValueError, match="stride must be a positive integer"):
+            next(ens.blocks(stride))
+    with pytest.raises(TypeError):
+        generate_trace(scn, 0, 2.0)
+
+
 class TestGenerateEnsemble:
     def test_singleton_matches_single_trace(self):
         scn = small_scenario(n_trials=1)
@@ -300,6 +410,29 @@ class TestEnsembleBlocks:
         for (_, a), (_, b) in zip(lazy, held):
             assert np.array_equal(a, b)
         assert LazyEnsemble(scn).n_trials == n_trials
+
+    @pytest.mark.parametrize("n_trials", [1, 37])
+    @pytest.mark.parametrize("stride", [2, 65, 200, 301])
+    def test_lazy_strided_blocks_equal_in_memory_strided_blocks(self, n_trials, stride):
+        scn = small_scenario(n_trials=n_trials, n_samples=301)
+        held = generate_ensemble(scn)
+        lazy = list(LazyEnsemble(scn).blocks(stride))
+        assert [rows for rows, _ in lazy] == [rows for rows, _ in held.blocks(stride)]
+        for (rows, a), (_, b) in zip(lazy, held.blocks(stride)):
+            assert np.shares_memory(b, held.sample_matrix)
+            assert a.tobytes() == b.tobytes() == held.sample_matrix[rows, ::stride].tobytes()
+
+    def test_strided_ensemble_holds_picks(self):
+        scn = small_scenario(n_trials=9, n_samples=301)
+        picks = generate_ensemble(scn, range(2, 7), 10)
+        assert isinstance(picks, TraceEnsemble) and picks.stride == 10
+        assert picks.sample_matrix.shape == (5, 31)
+        for tr in picks.traces:
+            assert tr.stride == 10
+            assert np.array_equal(tr.samples, generate_trace(scn, tr.trial_index).samples[::10])
+        # Estimators read traces, so a strided ensemble's blocks are refused.
+        with pytest.raises(ValueError, match="holds picks, not traces"):
+            next(picks.blocks())
 
     def test_in_memory_blocks_are_row_views(self):
         ens = generate_ensemble(small_scenario(n_trials=20, n_samples=100))
