@@ -129,13 +129,13 @@ def _write_table(args, columns, rows) -> None:
         fileio.write_series_csv(sink, columns, rows)
 
 
-# Per CLI kind, the real parts it prints, each as (estimator kind, value
-# column, oracle column): rzz prints its real and imaginary parts.
-_CLI_PARTS = {
-    "rxx": (("rxx", "value", "oracle_value"),),
-    "rxy": (("rxy", "value", "oracle_value"),),
-    "rzz": (("rzz_re", "value_re", "oracle_re"), ("rzz_im", "value_im", "oracle_im")),
-    "rsq": (("rsq", "value", "oracle_value"),),
+# Per CLI kind, its value and oracle columns, one pair per part (see
+# theory._kind_parts): rzz prints its real and imaginary parts.
+_CLI_COLUMNS = {
+    "rxx": (("value", "oracle_value"),),
+    "rxy": (("value", "oracle_value"),),
+    "rzz": (("value_re", "oracle_re"), ("value_im", "oracle_im")),
+    "rsq": (("value", "oracle_value"),),
 }
 
 
@@ -154,7 +154,8 @@ def _cmd_gen(args) -> int:
 def _cmd_theory(args) -> int:
     scn = _load_scenario(args)
     grid = harness.default_correlation_grid(scn, cap_to_trace=False)
-    parts, value_columns, _ = zip(*_CLI_PARTS[args.kind])
+    parts = theory._kind_parts(args.kind)
+    value_columns, _ = zip(*_CLI_COLUMNS[args.kind])
     oracle = f"{args.model}_formula"
     values = [harness.oracle_series(part, scn, grid, oracle).values for part in parts]
     columns = ["lag_s", "fd_tau", *value_columns]
@@ -165,7 +166,8 @@ def _cmd_theory(args) -> int:
 def _cmd_acf(args) -> int:
     scn = _load_scenario(args)
     grid = harness.default_correlation_grid(scn)
-    parts, value_columns, oracle_columns = zip(*_CLI_PARTS[args.kind])
+    parts = theory._kind_parts(args.kind)
+    value_columns, oracle_columns = zip(*_CLI_COLUMNS[args.kind])
     oracle = [
         harness.oracle_series(part, scn, grid, "simulator_formula").values
         for part in parts
@@ -259,12 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_theory = sub.add_parser("theory", help="closed-form correlation series")
     common(p_theory, needs_seed=False)
-    p_theory.add_argument("--kind", choices=tuple(_CLI_PARTS), required=True)
+    p_theory.add_argument("--kind", choices=tuple(_CLI_COLUMNS), required=True)
     p_theory.add_argument("--model", choices=("reference", "simulator"), default="reference")
 
     p_acf = sub.add_parser("acf", help="empirical correlation with oracle columns")
     common(p_acf)
-    p_acf.add_argument("--kind", choices=tuple(_CLI_PARTS), required=True)
+    p_acf.add_argument("--kind", choices=tuple(_CLI_COLUMNS), required=True)
 
     p_pdf = sub.add_parser("pdf", help="envelope histogram with reference density")
     common(p_pdf)

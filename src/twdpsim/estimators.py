@@ -15,6 +15,10 @@ made of the parts rzz_re and rzz_im:
     rxx = xx   ryy = yy   rxy = xy   ryx = yx   rsq = ss
     rzz_re = xx + yy      rzz_im = yx - xy      rzz = rzz_re + j*rzz_im
 
+A part's spectrum is the signed sum of its families' spectra by
+``theory._signed_sum``, the rule by which ``harness.oracle_series`` sums the
+families' closed forms, so an estimate and its oracle read the same signs.
+
 The sums are computed as FFT cross-correlations, which is exact (no windowing
 approximations) and returns every lag at once.  Anchors must be non-negative,
 strictly increasing integers; written as start + step*i, with step the gcd of
@@ -64,6 +68,7 @@ from scipy import fft as sp_fft
 
 from .sos import Ensemble
 from .theory import CORRELATION_KINDS, KIND_FAMILIES, CorrelationSeries, LagGrid
+from .theory import _RZZ_PARTS, _kind_parts, _signed_sum
 
 DEFAULT_ANCHOR_STRIDE = 10
 
@@ -73,9 +78,7 @@ _SEQUENCES = {
     "y": lambda z: z.imag,
     "s": lambda z: z.real * z.real + z.imag * z.imag,
 }
-# rzz = z(t) conj(z(t+l)) is the one composite kind: its real and imaginary
-# parts are the table kinds rzz_re and rzz_im, and it is listed before them.
-_RZZ_PARTS = ("rzz_re", "rzz_im")
+# The table kinds, with the composite rzz (see theory) listed before its parts.
 _RZZ_AT = CORRELATION_KINDS.index(_RZZ_PARTS[0])
 ESTIMATOR_KINDS = (*CORRELATION_KINDS[:_RZZ_AT], "rzz", *CORRELATION_KINDS[_RZZ_AT:])
 
@@ -115,15 +118,20 @@ def _trial_count(ens: Ensemble) -> int:
 
 
 def lag_samples(grid: LagGrid, sample_period_s: float, n_samples: int) -> np.ndarray:
-    """Convert grid lags to sample counts, rejecting off-grid or long lags."""
+    """Convert grid lags to sample counts, rejecting off-grid or long lags.
+
+    The longest lag is checked before the cast to int, which a lag past the
+    int64 range would overflow.
+    """
     ratio = grid.lags_s / sample_period_s
+    max_lag = np.rint(ratio[-1])
+    if max_lag >= n_samples:
+        raise LagError(
+            f"max lag {max_lag:.17g} samples exceeds trace length {n_samples}"
+        )
     lags = np.rint(ratio).astype(int)
     if np.any(np.abs(ratio - lags) > 1e-6):
         raise LagError("lag grid contains lags that are not multiples of T_s")
-    if lags[-1] >= n_samples:
-        raise LagError(
-            f"max lag {lags[-1]} samples exceeds trace length {n_samples}"
-        )
     return lags
 
 
@@ -228,35 +236,17 @@ def _correlation_setup(ens: Ensemble, kinds, grid: LagGrid, anchors):
     return lags, anchors, _Polyphase(start, step, mask, last + max_lag + 1 - start, m)
 
 
-def _parts(kind: str) -> tuple[str, ...]:
-    """The table kinds ``kind`` is made of: itself, or rzz's two parts."""
-    return _RZZ_PARTS if kind == "rzz" else (kind,)
-
-
 def _parts_and_families(kinds):
     """The distinct parts of ``kinds``, and the distinct families they read."""
-    parts = tuple(dict.fromkeys(part for kind in kinds for part in _parts(kind)))
+    parts = tuple(dict.fromkeys(part for kind in kinds for part in _kind_parts(kind)))
     families = dict.fromkeys(ab for part in parts for _, ab in KIND_FAMILIES[part])
     return parts, tuple(families)
-
-
-def _part_spectrum(part: str, family_spectrum) -> np.ndarray:
-    """The signed sum of the family spectra of ``part``; family_spectrum(ab)
-    returns family ab's spectrum as a new array."""
-    (_, first), *rest = KIND_FAMILIES[part]
-    total = family_spectrum(first)
-    for sign, ab in rest:
-        if sign > 0:
-            total += family_spectrum(ab)
-        else:
-            total -= family_spectrum(ab)
-    return total
 
 
 def _kind_values(kind: str, parts: dict) -> np.ndarray:
     """A kind's values from its part values; rzz is assembled from its real
     and imaginary parts, so it equals rzz_re + j*rzz_im bit for bit."""
-    real, *imag = (parts[part] for part in _parts(kind))
+    real, *imag = (parts[part] for part in _kind_parts(kind))
     if not imag:
         return real
     # Fortran order, as for every per-trial array (see per_trial_correlations).
@@ -286,7 +276,7 @@ def per_trial_correlations(
     values = {part: np.empty((ens.n_trials, lags.size), order="F") for part in parts}
     for trials, fa, fb in layout.spectra(ens, families):
         for part, out in values.items():
-            spectrum = _part_spectrum(part, lambda ab: fb[ab[1]] * fa[ab[0]][:, :, None])
+            spectrum = _signed_sum(part, lambda ab: fb[ab[1]] * fa[ab[0]][:, :, None])
             sums = sp_fft.irfft(spectrum, layout.m, axis=1).reshape(len(spectrum), -1)
             np.divide(sums[:, lags], anchors.size, out=out[trials])
     return {kind: _kind_values(kind, values) for kind in kinds}
@@ -335,7 +325,7 @@ def correlation_means(
             total += _trial_sum(fa[ab[0]], fb[ab[1]])
     count = _trial_count(ens) * anchors.size
     means = {
-        part: sp_fft.irfft(_part_spectrum(part, lambda ab: sums[ab].copy()), m, axis=0)
+        part: sp_fft.irfft(_signed_sum(part, lambda ab: sums[ab].copy()), m, axis=0)
         .reshape(-1)[lags]
         / count
         for part in parts

@@ -17,7 +17,11 @@ AND of all entries.
 The CLI shares these rules: ``correlation_scenario`` builds the builtin and
 the ``validate --config`` correlation checks, ``resolve_scenario`` is the
 scenario ``run_validation`` runs, at its derived seed, and ``validate`` logs,
-and ``lcr`` prints the Rayleigh oracle where ``closed_form_oracle`` applies.
+``oracle_series`` is the closed form ``theory`` and ``acf`` print, and
+``lcr`` prints the Rayleigh oracle where ``closed_form_oracle`` applies.
+``oracle_series`` sums the closed forms of a kind's lag-product families by
+``theory.KIND_FAMILIES`` with the rule by which the estimators sum their
+spectra, so an estimate and its oracle cannot differ in a sign.
 
 Oracles, and the statistics each one scores (``STATISTIC_ORACLES``):
   reference_formula    correlations and the envelope density: closed forms of
@@ -227,36 +231,19 @@ def builtin_scenarios() -> list[ValidationScenario]:
             oracle="reference_formula",
         )
     )
-    scenarios.append(
-        ValidationScenario(
-            name="lcr-twdp-k10-g10-perp",
-            scenario=make_scenario(
-                k=10.0,
-                gamma=1.0,
-                aoa1=math.pi / 2,
-                aoa2=-math.pi / 2,
-                n_samples=_LCR_N_SAMPLES,
-            ),
-            statistics=("lcr",),
-            tolerances={"lcr": _LCR_SELF_TOL},
-            oracle="self_consistency",
+    lcr_checks = [
+        ("lcr-twdp-k10-g10-perp", 1.0, math.pi / 2, -math.pi / 2),
+        ("lcr-twdp-k10-g05", 0.5, DEFAULT_AOA1, DEFAULT_AOA2),
+    ]
+    for name, gamma, aoa1, aoa2 in lcr_checks:
+        scenario = make_scenario(
+            k=10.0, gamma=gamma, aoa1=aoa1, aoa2=aoa2, n_samples=_LCR_N_SAMPLES
         )
-    )
-    scenarios.append(
-        ValidationScenario(
-            name="lcr-twdp-k10-g05",
-            scenario=make_scenario(
-                k=10.0,
-                gamma=0.5,
-                aoa1=DEFAULT_AOA1,
-                aoa2=DEFAULT_AOA2,
-                n_samples=_LCR_N_SAMPLES,
-            ),
-            statistics=("lcr",),
-            tolerances={"lcr": _LCR_SELF_TOL},
-            oracle="self_consistency",
+        scenarios.append(
+            ValidationScenario(
+                name, scenario, ("lcr",), {"lcr": _LCR_SELF_TOL}, "self_consistency"
+            )
         )
-    )
     return scenarios
 
 
@@ -295,27 +282,29 @@ def default_correlation_grid(scenario, cap_to_trace: bool = True) -> LagGrid:
 
 
 def oracle_series(kind: str, scenario, grid: LagGrid, oracle: str) -> CorrelationSeries:
-    """Closed-form series of one correlation statistic; only rsq differs
-    between the reference and the simulator formula."""
-    p = scenario.params
-    rates = scenario.rates
-    fd = scenario.doppler_hz
-    if kind in ("rxx", "ryy"):
-        series = theory.ref_acf_quadrature(p, rates, fd, grid)
-        return replace(series, kind=kind)
-    if kind == "rxy":
-        return theory.ref_ccf_quadrature(p, rates, grid)
-    if kind == "ryx":
-        series = theory.ref_ccf_quadrature(p, rates, grid)
-        return replace(series, kind="ryx", values=-series.values)
-    if kind in ("rzz_re", "rzz_im"):
-        re, im = theory.ref_acf_complex(p, rates, fd, grid)
-        return re if kind == "rzz_re" else im
-    if kind == "rsq":
-        if oracle == "simulator_formula":
-            return theory.sim_acf_squared(p, rates, fd, scenario.n_sinusoids, grid)
-        return theory.ref_acf_squared(p, rates, fd, grid)
-    raise ValueError(f"no oracle series for kind {kind!r}")
+    """Closed-form series of one correlation statistic: the signed sum of its
+    families' closed forms by ``theory.KIND_FAMILIES``, the sum the
+    estimators take of their spectra.  Only the families ``kind`` reads are
+    evaluated, and only ss, the squared envelope, differs between the
+    reference and the simulator formula."""
+    if kind not in theory.KIND_FAMILIES:
+        raise ValueError(f"no oracle series for kind {kind!r}")
+    p, rates, fd = scenario.params, scenario.rates, scenario.doppler_hz
+    # Each returns a new array, which the sum may write into.
+    closed_forms = {
+        "xx": lambda: theory.ref_acf_quadrature(p, rates, fd, grid).values,
+        "yy": lambda: theory.ref_acf_quadrature(p, rates, fd, grid).values,
+        "xy": lambda: theory.ref_ccf_quadrature(p, rates, grid).values,
+        # Ryx = -Rxy, taken from 0 so that a zero is +0, as in ref_acf_complex.
+        "yx": lambda: 0.0 - theory.ref_ccf_quadrature(p, rates, grid).values,
+        "ss": lambda: (
+            theory.sim_acf_squared(p, rates, fd, scenario.n_sinusoids, grid)
+            if oracle == "simulator_formula"
+            else theory.ref_acf_squared(p, rates, fd, grid)
+        ).values,
+    }
+    values = theory._signed_sum(kind, lambda ab: closed_forms[ab]())
+    return CorrelationSeries(kind, grid, values)
 
 
 def pdf_range(scenario) -> tuple[float, float]:

@@ -34,7 +34,9 @@ So a strided trace computes at least two head rows whenever the full trace
 has two (the two-row rule).  BLAS does not promise the rest; the tests pin
 it, and CI compares validation reports at one and at several BLAS threads.
 At 40000 samples and the pdf check's stride of 200 the head shrinks from 625
-rows to 200.
+rows to 200.  Every stride at or past the trace length picks sample 0 alone,
+so the picks are taken at min(stride, n_samples); the trace keeps its stride
+as given.
 
 Randomness comes from one Philox substream per (seed, trial_index), so every
 trial is reproducible in isolation and ensembles are independent of execution
@@ -130,6 +132,14 @@ def _checked_stride(stride) -> int:
     if operator.index(stride) < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
     return stride
+
+
+def _checked_trial_index(trial_index) -> int:
+    """``trial_index`` as an int once it is known to fit the trace header's u32."""
+    index = operator.index(trial_index)
+    if not 0 <= index < 2 ** 32:
+        raise ValueError(f"trial_index must be >= 0 and < 2**32, got {index}")
+    return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,9 +293,11 @@ def generate_trace(
 
     Evaluates the module's z(t) by block factorization at samples 0, stride,
     2*stride, ...; the result equals ``samples[::stride]`` of the stride-1
-    trace bit for bit.  See the module docstring.
+    trace bit for bit.  See the module docstring.  ``trial_index`` must be an
+    integer (TypeError) in [0, 2**32), the trace header's u32 (ValueError).
     """
     _checked_stride(stride)
+    trial_index = _checked_trial_index(trial_index)
     phi1, phi2, real = draw_trial_randoms(
         scenario.seed, trial_index, scenario.n_sinusoids
     )
@@ -303,7 +315,9 @@ def generate_trace(
     if stride == 1:
         head_rows = np.arange(-(-n // BLOCK))
     else:
-        t = np.arange(0, n, stride)
+        # Every stride past the trace picks sample 0 alone, and np.arange
+        # takes no int past int64.
+        t = np.arange(0, n, min(stride, n))
         head_rows, row_of = np.unique(t // BLOCK, return_inverse=True)
         if head_rows.size == 1 and n > BLOCK:
             # The two-row rule; see the module docstring.  Every pick is in

@@ -1,6 +1,11 @@
 """Closed-form second-order statistics of the TWDP process.
 
-Two families of curves live here.  The reference expressions describe the
+``KIND_FAMILIES`` defines every correlation kind once, as a signed sum of
+lag-product families; ``_signed_sum`` is the one rule that sums them, for the
+estimators' spectra and for the oracles' closed forms alike, and rzz is the
+one composite kind, made of the parts rzz_re and rzz_im (``_kind_parts``).
+
+Two sets of curves live here.  The reference expressions describe the
 ideal channel whose diffuse component is exactly complex Gaussian (the
 infinite-sinusoid limit).  The simulator expressions describe the finite-N
 sum-of-sinusoids generator: its quadrature ACF/CCF and complex-envelope ACF
@@ -39,12 +44,39 @@ from .sos import phasor_sum_bound
 
 # The one table of correlation kinds.  Each is a signed sum of lag-product
 # families ab(l) = sum over t of a[t] b[t+l], over x = Re z, y = Im z and
-# s = |z|^2, its first term positive; Rzz = (xx + yy) + j(yx - xy).
+# s = |z|^2, its first term positive; Rzz = (xx + yy) + j(yx - xy).  The
+# estimators sum the families' spectra by it, and harness.oracle_series their
+# closed forms, both with _signed_sum.
 KIND_FAMILIES = {
     "rxx": ((1, "xx"),), "ryy": ((1, "yy"),), "rxy": ((1, "xy"),), "ryx": ((1, "yx"),),
     "rzz_re": ((1, "xx"), (1, "yy")), "rzz_im": ((1, "yx"), (-1, "xy")), "rsq": ((1, "ss"),),
 }
 CORRELATION_KINDS = tuple(KIND_FAMILIES)
+# rzz = z(t) conj(z(t+l)) is the one composite kind: its real and imaginary
+# parts are the table kinds rzz_re and rzz_im.
+_RZZ_PARTS = ("rzz_re", "rzz_im")
+
+
+def _kind_parts(kind: str) -> tuple[str, ...]:
+    """The table kinds ``kind`` is made of: itself, or rzz's two parts."""
+    return _RZZ_PARTS if kind == "rzz" else (kind,)
+
+
+def _signed_sum(kind: str, family):
+    """The signed sum of table kind ``kind``'s families, in table order.
+
+    family(ab) returns family ab's values as a new array: the first term is
+    taken as it is, and each later one added to it or subtracted in place.
+    """
+    (_, first), *rest = KIND_FAMILIES[kind]
+    total = family(first)
+    for sign, ab in rest:
+        if sign > 0:
+            total += family(ab)
+        else:
+            total -= family(ab)
+    return total
+
 
 # Envelope-law Hankel integrals: Gauss-Legendre nodes per period of the
 # fastest oscillation, the reference laws' Gaussian tail cut (integrate u only
@@ -298,7 +330,9 @@ def ref_acf_complex(
 
     Rzz(tau) = v1^2/omega*exp(-j*rate1*tau) + v2^2/omega*exp(-j*rate2*tau)
                + diffuse/omega*J0(2*pi*f_D*tau), so the real part equals
-    2*Rxx and the imaginary part equals -2*Rxy.
+    2*Rxx and the imaginary part equals -2*Rxy.  ``harness.oracle_series``
+    sums rzz_re and rzz_im from the quadrature families by KIND_FAMILIES;
+    this direct form is the independent reference that sum is tested against.
     """
     w1, w2, wd = _tone_weights(p)
     tau = grid.lags_s

@@ -347,6 +347,20 @@ class TestCliDispatch:
             assert cli_dispatch(["pdf", "--config", str(cfg)]) == 2
             assert "error: diffuse part too narrow" in capsys.readouterr().err
 
+    def test_pdf_at_tiny_fd_ts_picks_sample_0(self, tmp_path):
+        # f_D*T_s = 1e-300 puts the decorrelation stride past the int64
+        # range: each trial's one pick is its sample 0.
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("fd_ts = 1e-300\nn_trials = 3\nn_samples = 200\n")
+        out = tmp_path / "pdf.csv"
+        assert cli_dispatch(["pdf", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_series_csv(out)
+        counts = np.rint(rows[:, 2] * (rows[:, 1] - rows[:, 0]) * 3)
+        scn = validate_scenario(parse_config(cfg.read_text()))
+        picks = [abs(sos.generate_trace(scn, i).samples[0]) for i in range(3)]
+        want, _ = np.histogram(picks, bins=len(rows), range=(rows[0, 0], rows[-1, 1]))
+        assert np.array_equal(counts, want)
+
     def test_panel_kernel_node_budget_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "many.cfg"
         cfg.write_text("n_sinusoids = 4000000000\n")

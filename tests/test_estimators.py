@@ -76,6 +76,16 @@ class TestEnsembleCorrelationSynthetic:
         with pytest.raises(LagError):
             ensemble_correlation(ens, "rxx", long_grid)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lag_past_int64_rejected_as_too_long(self):
+        # A lag past the int64 range is refused before the cast to int,
+        # which would warn and overflow.
+        scn = synth_scenario(2, 100)
+        ens = synthetic_ensemble(np.ones((2, 100), dtype=complex), scn)
+        huge = LagGrid(np.array([0.0, 1e300]), scn.doppler_hz)
+        with pytest.raises(LagError, match="exceeds trace length 100"):
+            ensemble_correlation(ens, "rxx", huge)
+
     def test_unknown_kind_rejected(self):
         scn = synth_scenario(2, 100)
         ens = synthetic_ensemble(np.ones((2, 100), dtype=complex), scn)

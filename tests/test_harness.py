@@ -206,6 +206,41 @@ def test_crossing_zscores_equal_a_per_threshold_loop(n_trials):
     assert np.all(np.isfinite(z[:3])) == (n_trials > 1)
 
 
+def _closed_forms(scn, grid, oracle):
+    """Every kind's closed form, each written out apart from the kind table."""
+    p, rates, fd = scn.params, scn.rates, scn.doppler_hz
+    acf = theory.ref_acf_quadrature(p, rates, fd, grid).values
+    ccf = theory.ref_ccf_quadrature(p, rates, grid).values
+    rzz_re, rzz_im = theory.ref_acf_complex(p, rates, fd, grid)
+    if oracle == "simulator_formula":
+        rsq = sim_acf_squared(p, rates, fd, scn.n_sinusoids, grid)
+    else:
+        rsq = ref_acf_squared(p, rates, fd, grid)
+    return {
+        "rxx": acf, "ryy": acf, "rxy": ccf, "ryx": -ccf,
+        "rzz_re": rzz_re.values, "rzz_im": rzz_im.values, "rsq": rsq.values,
+    }
+
+
+@pytest.mark.parametrize("oracle", ["reference_formula", "simulator_formula"])
+def test_oracle_series_equals_the_closed_forms(oracle):
+    # The oracles sum the kind table's families; every first term is
+    # positive, as that sum assumes.
+    assert all(terms[0][0] == 1 for terms in theory.KIND_FAMILIES.values())
+    checks = [vs for vs in builtin_scenarios() if vs.statistics == CORRELATION_STATS]
+    assert len(checks) == 4
+    for vs in checks:
+        scn = validate_scenario(vs.scenario)
+        grid = default_correlation_grid(scn)
+        want = _closed_forms(scn, grid, oracle)
+        for kind in theory.CORRELATION_KINDS:
+            got = harness.oracle_series(kind, scn, grid, oracle)
+            assert got.kind == kind and got.grid is grid
+            np.testing.assert_allclose(got.values, want[kind], rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="no oracle series for kind 'rzz'"):
+        harness.oracle_series("rzz", scn, grid, oracle)
+
+
 class TestRunValidation:
     def test_smoke_single_trial(self):
         scenarios = [

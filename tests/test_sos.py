@@ -259,7 +259,8 @@ class TestGenerateTrace:
 
 
 # n_samples not a multiple of BLOCK, strides below, at and above BLOCK, and
-# strides at and past n_samples, where one pick lies in the first head row.
+# strides at and past n_samples, where one pick lies in the first head row,
+# up to strides past the int64 range.
 @pytest.mark.parametrize(
     "n_samples, stride",
     [
@@ -271,11 +272,15 @@ class TestGenerateTrace:
         (1001, 1000),
         (1001, 1001),
         (1001, 5000),
+        (1001, 2 ** 63),
+        (1001, 2 ** 64),
         (65, 63),
         (65, 64),
+        (65, 2 ** 63),
         (130, 200),
         (40, 3),
         (40, 40),
+        (40, 2 ** 64),
     ],
 )
 def test_strided_trace_is_every_stride_th_sample(n_samples, stride):
@@ -286,6 +291,17 @@ def test_strided_trace_is_every_stride_th_sample(n_samples, stride):
         assert picks.samples.tobytes() == full.samples[::stride].tobytes()
         assert picks.stride == stride and picks.trial_index == trial
         assert picks.sample_period_s == stride * full.sample_period_s
+
+
+def test_trial_index_is_an_integer_in_the_header_range():
+    scn = small_scenario(n_trials=2, n_samples=100)
+    with pytest.raises(TypeError):
+        generate_trace(scn, 1.5)
+    for trial_index in (-1, 2 ** 32):
+        with pytest.raises(ValueError, match="trial_index must be >= 0 and < 2\\*\\*32"):
+            generate_trace(scn, trial_index)
+    last = generate_trace(scn, np.uint32(2 ** 32 - 1))
+    assert last.trial_index == 2 ** 32 - 1 and type(last.trial_index) is int
 
 
 @pytest.mark.parametrize("stride", [0, -3])
@@ -412,7 +428,7 @@ class TestEnsembleBlocks:
         assert LazyEnsemble(scn).n_trials == n_trials
 
     @pytest.mark.parametrize("n_trials", [1, 37])
-    @pytest.mark.parametrize("stride", [2, 65, 200, 301])
+    @pytest.mark.parametrize("stride", [2, 65, 200, 301, 2 ** 64])
     def test_lazy_strided_blocks_equal_in_memory_strided_blocks(self, n_trials, stride):
         scn = small_scenario(n_trials=n_trials, n_samples=301)
         held = generate_ensemble(scn)
