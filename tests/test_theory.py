@@ -12,6 +12,7 @@ from twdpsim.params import ChannelParams, from_k_gamma, make_scenario, validate_
 from twdpsim.sos import envelope_bound
 from twdpsim.theory import (
     LagGrid,
+    _chebyshev_degree,
     _panel_means,
     _panel_orbits,
     _panel_order,
@@ -134,12 +135,14 @@ class TestPanelKernels:
         assert abs(f_s(x, n) - fs_mc) <= 3 * se_s
 
     def test_array_matches_scalar(self):
-        xs = np.array([0.0, 0.5, 3.0, 12.0])
-        fc_arr = f_c(xs, 8)
-        fs_arr = f_s(xs, 8)
-        for i, x in enumerate(xs):
-            assert fc_arr[i] == pytest.approx(f_c(float(x), 8), rel=1e-14, abs=1e-15)
-            assert fs_arr[i] == pytest.approx(f_s(float(x), 8), rel=1e-14, abs=1e-15)
+        for xs in (np.array([0.0, 0.5, 3.0, 12.0]), np.array([[0.5, 1.0], [2.0, 3.0]]),
+                   np.zeros((0, 3))):
+            fc_arr = f_c(xs, 8)
+            fs_arr = f_s(xs, 8)
+            assert fc_arr.shape == fs_arr.shape == xs.shape
+            for i, x in np.ndenumerate(xs):
+                assert fc_arr[i] == pytest.approx(f_c(float(x), 8), rel=1e-14, abs=1e-15)
+                assert fs_arr[i] == pytest.approx(f_s(float(x), 8), rel=1e-14, abs=1e-15)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -166,14 +169,75 @@ class TestPanelKernels:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64, 1024])
     def test_orbit_sums_match_every_panel(self, n):
         # Every one of the n panel means, summed without symmetry, at the
-        # order the kernel uses for the whole lag set.
-        x = np.array([0.0, 0.3, 2.5, 9.0, 31.4, 62.8])
+        # order the kernel uses for the whole lag set: at six lags, which the
+        # kernel evaluates directly, and (n <= 64, to keep the every-panel
+        # array small) on a 2001-lag lattice, which it interpolates from
+        # fewer Chebyshev points.
         xi, w = np.polynomial.legendre.leggauss(_panel_order(62.8, n))
         g = (TWO_PI * np.arange(n)[:, None] + math.pi * xi) / n
-        means = np.exp(1j * x[:, None, None] * np.cos(g)) @ w / (2 * n)
-        fc, fs = theory._fc_fs(x, n)
-        assert np.abs(fc - (means.real ** 2).sum(axis=-1)).max() <= 1e-15
-        assert np.abs(fs - (means.imag ** 2).sum(axis=-1)).max() <= 1e-15
+        lattices = [np.array([0.0, 0.3, 2.5, 9.0, 31.4, 62.8])]
+        if n <= 64:
+            lattices.append(np.linspace(0.0, 62.8, 2001))
+            assert lattices[-1].size > _chebyshev_degree(62.8, n) + 1
+        for x in lattices:
+            means = np.exp(1j * x[:, None, None] * np.cos(g)) @ w / (2 * n)
+            fc, fs = theory._fc_fs(x, n)
+            assert np.abs(fc - (means.real ** 2).sum(axis=-1)).max() <= 1e-15
+            assert np.abs(fs - (means.imag ** 2).sum(axis=-1)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_interpolated_lags_against_mpmath(self, n):
+        # Three lags of a 10001-lag call that lie strictly between the
+        # Chebyshev points the kernel evaluates, at test_against_mpmath's
+        # tolerance.
+        x = np.linspace(0.0, 62.8, 10001)
+        degree = _chebyshev_degree(62.8, n)
+        points = 62.8 * (1 + np.cos(np.pi * np.arange(degree + 1) / degree)) / 2
+        fc, fs = f_c(x, n), f_s(x, n)
+        for k in (1, degree // 2, degree - 2):
+            i = np.abs(x - (points[k] + points[k + 1]) / 2).argmin()
+            assert points[k + 1] < x[i] < points[k]
+            want_c, want_s = _mpmath_panel_kernels(x[i], n)
+            assert abs(fc[i] - want_c) <= 1e-14
+            assert abs(fs[i] - want_s) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_lags_on_or_next_to_the_points(self, n):
+        # Lags on a Chebyshev point, or a subnormal distance from one, make
+        # the barycentric formula 0/0 or overflow; they take the point's means.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fc, fs = theory._fc_fs(np.zeros(200), n)
+            assert np.all(fc == f_c(0.0, n)) and np.all(fs == 0.0)
+            fc, fs = theory._fc_fs(np.linspace(0.0, 1e-310, 200), n)
+            assert np.all(fc == f_c(0.0, n)) and np.all(fs == 0.0)
+            x = np.r_[np.linspace(0.0, 62.8, 2001), 5e-324, 1e-320, -62.8]
+            fc, fs = theory._fc_fs(x, n)
+        for i in range(-3, 0):
+            assert abs(fc[i] - f_c(x[i], n)) <= 1e-15 and abs(fs[i] - f_s(x[i], n)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_means_taken_at_the_lags_up_to_degree_plus_one(self, n, monkeypatch):
+        # At most D + 1 lags: the means are taken at the lags themselves.
+        # One more: at the D + 1 Chebyshev points, from 0 to max |x|.
+        taken = []
+
+        def counted(x, n, order):
+            taken.append(x.copy())
+            return _panel_means(x, n, order)
+
+        monkeypatch.setattr(theory, "_panel_means", counted)
+        degree = _chebyshev_degree(62.8, n)
+        for size in (1, degree + 1):
+            x = -np.linspace(62.8, 0.0, size)
+            taken.clear()
+            f_c(x, n)
+            assert np.array_equal(np.concatenate(taken), np.abs(x))
+        taken.clear()
+        f_c(np.linspace(0.0, 62.8, degree + 2), n)
+        points = np.concatenate(taken)
+        assert points.size == degree + 1
+        assert points.max() == 62.8 and points.min() == 0.0
 
     def test_orbit_sizes_sum_to_n(self):
         for n in [1024, 4098, 2 ** 20 + 1]:
