@@ -56,6 +56,9 @@ Every result is therefore the same, bit for bit, for an in-memory and a lazy
 ensemble of one scenario.
 On an ensemble of no trials the per-trial estimators return arrays of no
 rows, and every trial mean raises ValueError("empty ensemble").
+
+scipy.fft is imported at the first transform (``theory._Deferred``), so
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -64,11 +67,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .sos import Ensemble
 from .theory import CORRELATION_KINDS, KIND_FAMILIES, CorrelationSeries, LagGrid
-from .theory import _RZZ_PARTS, _kind_parts, _signed_sum
+from .theory import _RZZ_PARTS, _Deferred, _kind_parts, _signed_sum
+
+# Read at call time, so a test can replace it.
+sp_fft = _Deferred("scipy.fft")
 
 DEFAULT_ANCHOR_STRIDE = 10
 

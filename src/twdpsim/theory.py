@@ -32,19 +32,46 @@ Gauss-Legendre rule, :func:`_gl_nodes_on`.
 Also provided: the isotropic-scattering Bessel kernel J0, and the closed-form
 Rayleigh level-crossing-rate oracle used to validate the crossing estimator
 with :func:`is_rayleigh`, the one test of where it applies.
+
+scipy.special is imported when a closed form first reads it (``_Deferred``),
+so a program that only synthesizes or reads traces loads numpy alone.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .params import TWO_PI, ChannelParams
 from .sos import phasor_sum_bound
+
+
+class _Deferred:
+    """Module ``name``, imported on the first read of one of its attributes.
+
+    Each attribute read is cached on the instance, so later reads are plain
+    attribute hits.  ``importlib.import_module`` takes the module's import
+    lock, so threads that race on a first read all get the fully run module.
+    Names that start with an underscore are not looked up, so copy, pickle
+    and introspection probes import nothing.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        if attr.startswith("_"):
+            raise AttributeError(attr)
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+special = _Deferred("scipy.special")
 
 # The one table of correlation kinds.  Each is a signed sum of lag-product
 # families ab(l) = sum over t of a[t] b[t+l], over x = Re z, y = Im z and
@@ -223,9 +250,10 @@ def _panel_orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
     return m, mult
 
 
-def _panel_means(x: np.ndarray, n: int, order: int) -> np.ndarray:
-    """Complex panel means I_m(x) = (1/2pi) int exp(j*x*cos(g)) dg, one per
-    symmetry orbit (:func:`_panel_orbits`), shape (len(x), orbits).
+def _panel_means(x: np.ndarray, n: int, order: int, m: np.ndarray) -> np.ndarray:
+    """Complex panel means I_m(x) = (1/2pi) int exp(j*x*cos(g)) dg at the
+    panel indices m of symmetry orbits (:func:`_panel_orbits`), shape
+    (len(x), len(m)).
 
     Panel m is [(2*pi*m - pi)/n, (2*pi*m + pi)/n], of half-width h = pi/n, for
     m = 0..n-1; f_c = sum_m (Re I_m)^2 and f_s = sum_m (Im I_m)^2, each summed
@@ -245,7 +273,7 @@ def _panel_means(x: np.ndarray, n: int, order: int) -> np.ndarray:
     """
     h = math.pi / n
     xi, w = _gl_nodes(order)
-    cos_g = np.cos(h * xi + TWO_PI * _panel_orbits(n)[0][:, None] / n)
+    cos_g = np.cos(h * xi + TWO_PI * m[:, None] / n)
     # A real cos and sin of the phase are faster than np.exp of an
     # imaginary one (numpy 2.4).
     arg = x[:, None, None] * cos_g
@@ -283,8 +311,11 @@ def _fc_fs(x, n: int) -> tuple[np.ndarray, np.ndarray]:
     the orbit-size sums of the squared quotients.  Either way the means are
     evaluated at the order for X, in blocks of at most _PANEL_WORKSPACE
     nodes (or one point), after the order check has refused an n whose
-    orbits would not fit; the means held at once are (at most D + 1 points)
-    x (orbits), not (lags) x (orbits).
+    orbits would not fit.  The orbits are evaluated, interpolated and summed
+    in chunks of _PANEL_WORKSPACE // (points) orbits, so the means held at
+    once are about 2 * _PANEL_WORKSPACE reals at any n, not (points) x
+    (orbits).  At X <= 62.8 every n up to 2015, and every even n up to
+    4030, is one chunk.
 
     Error budget.  Each evaluated mean is within 1e-16 of exact (the order
     rule).  Interpolating adds at most 1e-16 (the degree rule) and carries
@@ -311,39 +342,53 @@ def _fc_fs(x, n: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         nodes = np.cos(np.pi * np.arange(degree + 1) / degree)
         points = x_max * (1 + nodes) / 2
-    mult = _panel_orbits(n)[1]
+    m, mult = _panel_orbits(n)
+    weights = (-1.0) ** np.arange(degree + 1)
+    weights[[0, -1]] /= 2
+    chunk = max(1, _PANEL_WORKSPACE // max(1, points.size))
+    parts = [slice(first, first + chunk) for first in range(0, m.size, chunk)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fc, fs = _orbit_sums(lags, points, weights, m[parts[0]], mult[parts[0]], n, order)
+        for part in parts[1:]:
+            more_c, more_s = _orbit_sums(lags, points, weights, m[part], mult[part], n, order)
+            fc += more_c
+            fs += more_s
+    return fc.reshape(x.shape), fs.reshape(x.shape)
+
+
+def _orbit_sums(lags, points, weights, m, mult, n, order) -> tuple[np.ndarray, np.ndarray]:
+    """The shares of f_c and f_s of the orbits m, of sizes mult, at every
+    lag, from their means at the points (see :func:`_fc_fs`)."""
     # Real and imaginary means at the points, and a column of ones that gives
     # the barycentric denominator.
-    orbits = mult.size
+    orbits = m.size
     table = np.ones((points.size, 2 * orbits + 1))
     rows = max(1, _PANEL_WORKSPACE // (n * order))
     for start in range(0, points.size, rows):
         block = slice(start, start + rows)
-        means = _panel_means(points[block], n, order)
+        means = _panel_means(points[block], n, order, m)
         table[block, :orbits], table[block, orbits:-1] = means.real, means.imag
     # Orbit-size weights of the squared real means (f_c) and imaginary (f_s).
     sums = np.zeros((table.shape[1], 2))
     sums[:orbits, 0] = sums[orbits:-1, 1] = mult
-    weights = (-1.0) ** np.arange(degree + 1)
-    weights[[0, -1]] /= 2
     rows = max(1, _INTERP_BLOCK // max(table.shape))
     fc, fs = np.empty(lags.size), np.empty(lags.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, lags.size, rows):
-            block = slice(start, start + rows)
-            if points is lags:
-                vals = table[block]
-            else:
-                vals = (weights / (lags[block, None] - points)) @ table
-                vals /= vals[:, -1:]
-            fc[block], fs[block] = (vals ** 2 @ sums).T
+    for start in range(0, lags.size, rows):
+        block = slice(start, start + rows)
+        if points is lags:
+            vals = table[block]
+        else:
+            vals = (weights / (lags[block, None] - points)) @ table
+            vals /= vals[:, -1:]
+        fc[block], fs[block] = (vals ** 2 @ sums).T
     # A lag on a point, or so near one that the formula overflows, gets a
     # non-finite value; it takes the nearest point's means (the first such
-    # point's: points coincide when X is 0 or subnormal).
+    # point's: points coincide when X is 0 or subnormal).  Every chunk has
+    # the same column of ones, so every chunk finds the same lags.
     on = np.flatnonzero(~np.isfinite(fc + fs))
     if on.size:
         fc[on], fs[on] = (table[np.abs(lags[on, None] - points).argmin(axis=1)] ** 2 @ sums).T
-    return fc.reshape(x.shape), fs.reshape(x.shape)
+    return fc, fs
 
 
 def f_c(x, n: int):

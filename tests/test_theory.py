@@ -161,8 +161,9 @@ class TestPanelKernels:
         # 12*pi*|x|*2^-53 per node (|g| <= 3*pi) plus a summation error of up
         # to 2*order*2^-53, both on weights that sum to 1/n for one mean.
         order = _panel_order(x, n)
-        means = _panel_means(np.array([x]), n, order)
-        doubled = _panel_means(np.array([x]), n, 2 * order)
+        m = _panel_orbits(n)[0]
+        means = _panel_means(np.array([x]), n, order, m)
+        doubled = _panel_means(np.array([x]), n, 2 * order, m)
         rounding = 2 * (12 * math.pi * abs(x) + 4 * order) * 2.0 ** -53 / n
         assert np.abs(doubled - means).max() <= 1e-16 + rounding
 
@@ -222,9 +223,9 @@ class TestPanelKernels:
         # One more: at the D + 1 Chebyshev points, from 0 to max |x|.
         taken = []
 
-        def counted(x, n, order):
+        def counted(x, n, order, m):
             taken.append(x.copy())
-            return _panel_means(x, n, order)
+            return _panel_means(x, n, order, m)
 
         monkeypatch.setattr(theory, "_panel_means", counted)
         degree = _chebyshev_degree(62.8, n)
@@ -281,6 +282,39 @@ class TestPanelKernels:
             tracemalloc.stop()
         assert peak < 8e6
         assert fc[0] == pytest.approx(1 / 256, abs=1e-16) and fs[0] == 0.0
+
+    @pytest.mark.parametrize("n", [17, 63, 64])
+    def test_orbit_chunks_sum_to_one_pass(self, n, monkeypatch):
+        # A workspace of 2^9 takes the orbits 7 at a time: the chunked sums
+        # equal one pass over every orbit at round-off (2e-15/n, some nine
+        # units in the last place of 1/n), and lags on or a subnormal
+        # distance from a point take its means in every chunk.
+        x = np.r_[np.linspace(0.0, 62.8, 3001), 5e-324, 1e-320, -62.8]
+        whole = theory._fc_fs(x, n)
+        monkeypatch.setattr(theory, "_PANEL_WORKSPACE", 2 ** 9)
+        assert _panel_orbits(n)[0].size > 2 ** 9 // (_chebyshev_degree(62.8, n) + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            chunked = theory._fc_fs(x, n)
+        for got, want in zip(chunked, whole):
+            assert np.abs(got - want).max() <= 2e-15 / n
+
+    @pytest.mark.slow
+    def test_orbit_chunks_bound_the_memory(self):
+        # n = 2^16 on 10001 lags: one table of every orbit's means at the 63
+        # Chebyshev points peaked at 18.7 MB; chunks of 2^16 / 63 orbits hold
+        # about 1 MB of means at a time.  The per-lag sums before the
+        # interpolation peaked at 2.0 MB.
+        x = np.linspace(0.0, 62.8, 10001)
+        tracemalloc.start()
+        try:
+            fc, fs = theory._fc_fs(x, 2 ** 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+        assert fc[0] == pytest.approx(2.0 ** -16, abs=1e-20) and fs[0] == 0.0
+        assert np.all(fc >= 0) and np.all(fs >= 0) and np.all(fc + fs <= 2.0 ** -16 + 1e-20)
 
 
 class TestQuadratureAcf:
