@@ -13,6 +13,13 @@ Rayleigh fading is k=0 and Rician fading is gamma=0.  Each tone arrives from
 angle ``aoa`` relative to the receiver track and accumulates phase at the
 constant rate ``-2*pi*f_D*cos(aoa)`` over the local stationarity interval.
 
+The simulated process z is normalized to unit power: it is N+2 phasors, the
+two tones and N diffuse paths, divided by sqrt(omega).  :class:`ChannelParams`
+is the one place that normalization is written: ``tone_amplitudes``,
+``power_fractions``, ``path_amplitude(N)`` and ``envelope_bound(N)`` give z's
+amplitudes, power shares and envelope bound, and synthesis (``sos``) and every
+closed form (``theory``) read them there.
+
 One experiment is one :class:`ScenarioConfig`: the channel, both arrival
 angles, f_D, T_s, the sinusoid count, trials, trace length and seed.
 :func:`validate_scenario` checks it and returns a :class:`ValidatedScenario`,
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -124,6 +132,34 @@ class ChannelParams:
     @property
     def specular_power(self) -> float:
         return self.v1 ** 2 + self.v2 ** 2
+
+    # The normalized view: z's phasors and their powers, in units of
+    # sqrt(omega) and omega.  Plain properties, not cached: the digest packs
+    # vars(params), which must hold the four fields alone.
+    @property
+    def tone_amplitudes(self) -> tuple[float, float]:
+        """The tones' amplitudes in z, v1/sqrt(omega) and v2/sqrt(omega)."""
+        root = math.sqrt(self.omega)
+        return self.v1 / root, self.v2 / root
+
+    @property
+    def power_fractions(self) -> tuple[float, float, float]:
+        """The shares of z's unit power: v1^2/omega, v2^2/omega and
+        diffuse_power/omega."""
+        omega = self.omega
+        return self.v1 ** 2 / omega, self.v2 ** 2 / omega, self.diffuse_power / omega
+
+    def path_amplitude(self, n_sinusoids: int) -> float:
+        """Each diffuse path's amplitude in z, sqrt(diffuse_power/N)/sqrt(omega)."""
+        return math.sqrt(self.diffuse_power / n_sinusoids) / math.sqrt(self.omega)
+
+    def envelope_bound(self, n_sinusoids: int) -> float:
+        """(v1 + v2 + sqrt(diffuse_power*N))/sqrt(omega): the sum of z's N+2
+        amplitudes, which |z| never passes.  Summed in this form, not as the
+        N+2 amplitudes, whose sum rounds differently: the pdf range of the
+        validation suite takes its top edge from it."""
+        root = math.sqrt(self.omega)
+        return (self.v1 + self.v2 + math.sqrt(self.diffuse_power * n_sinusoids)) / root
 
 
 def from_k_gamma(k: float, gamma: float, omega: float = DEFAULT_OMEGA) -> ChannelParams:
@@ -245,14 +281,22 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
             f"{cfg.doppler_hz * cfg.sample_period_s:g} exceeds the 0.5 bound"
         )
     # Trace headers store the sinusoid count and the trial index as u32.
-    for name in ("n_sinusoids", "n_trials"):
-        count = getattr(cfg, name)
-        if not 1 <= count < 2 ** 32:
-            errors.append(f"{name}: must be >= 1 and < 2**32, got {count}")
-    if cfg.n_samples < 2:
-        errors.append(f"n_samples: must be >= 2, got {cfg.n_samples}")
-    if not (0 <= cfg.seed < 2 ** 64):
-        errors.append(f"seed: must be an unsigned 64-bit integer, got {cfg.seed}")
+    # Counts and seed are integers, numpy's included (operator.index).
+    counts = (
+        ("n_sinusoids", 1, 2 ** 32, "must be >= 1 and < 2**32"),
+        ("n_trials", 1, 2 ** 32, "must be >= 1 and < 2**32"),
+        ("n_samples", 2, math.inf, "must be >= 2"),
+        ("seed", 0, 2 ** 64, "must be an unsigned 64-bit integer"),
+    )
+    for name, low, high, rule in counts:
+        value = getattr(cfg, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            errors.append(f"{name}: must be an integer, got {value!r}")
+            continue
+        if not low <= value < high:
+            errors.append(f"{name}: {rule}, got {value}")
     for name in ("aoa1", "aoa2"):
         if not math.isfinite(getattr(cfg, name)):
             errors.append(f"{name}: must be finite, got {getattr(cfg, name)}")

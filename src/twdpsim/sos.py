@@ -8,6 +8,9 @@ lowpass process is
     z(t) = (v1*exp(j*(phi1 + rate1*t)) + v2*exp(j*(phi2 + rate2*t)) + n(t)) / sqrt(omega)
 
 with n(t) = sqrt(diffuse_power/N) * sum_i exp(j*(2*pi*f_D*t*cos(beta_i) + phase_i)).
+The normalization lives on ``ChannelParams``: synthesis reads z's amplitudes
+as ``tone_amplitudes`` and ``path_amplitude(N)``, and ``envelope_bound`` reads
+the bound on |z| there too.
 
 ``specular_tone`` and ``diffuse_sample`` evaluate these terms directly and are
 the reference definition.  ``generate_trace`` computes the same sum by block
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import TWO_PI, ChannelParams, ValidatedScenario, wrap_angle
+from .params import TWO_PI, ValidatedScenario, wrap_angle
 
 # Samples per block of the factorized synthesis; see the module docstring.
 BLOCK = 64
@@ -304,9 +307,8 @@ def generate_trace(
     p = scenario.params
     n_sin = scenario.n_sinusoids
     amps = np.empty(n_sin + 2)
-    amps[:2] = p.v1, p.v2
-    amps[2:] = math.sqrt(p.diffuse_power / n_sin)
-    amps /= math.sqrt(p.omega)
+    amps[:2] = p.tone_amplitudes
+    amps[2:] = p.path_amplitude(n_sin)
     phases = np.concatenate(([phi1, phi2], real.init_phases))
     rates = np.concatenate(
         (scenario.rates, TWO_PI * scenario.doppler_hz * np.cos(real.aoas))
@@ -360,9 +362,4 @@ def generate_ensemble(
 
 def envelope_bound(scenario: ValidatedScenario) -> float:
     """Exact triangle-inequality bound on |z| for this scenario."""
-    return phasor_sum_bound(scenario.params, scenario.n_sinusoids)
-
-
-def phasor_sum_bound(p: ChannelParams, n_sinusoids: int) -> float:
-    """Sum of the N+2 phasor amplitudes of z, which |z| never passes."""
-    return (p.v1 + p.v2 + math.sqrt(p.diffuse_power * n_sinusoids)) / math.sqrt(p.omega)
+    return scenario.params.envelope_bound(scenario.n_sinusoids)

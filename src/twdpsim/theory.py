@@ -29,6 +29,12 @@ random-phasor-sum integral; at K=0 it sits about 0.1153/N in sup-CDF from the
 Rayleigh law.  All three envelope oracles sum their Hankel integrals on one
 Gauss-Legendre rule, :func:`_gl_nodes_on`.
 
+Every closed form reads the channel as z's normalized phasors, off
+``ChannelParams``: the power fractions v_i^2/omega and diffuse_power/omega,
+the tone amplitudes v_i/sqrt(omega), the diffuse path amplitude and the
+envelope bound.  The normalization by omega is written there alone, the one
+the generator in ``sos`` reads too.
+
 Also provided: the isotropic-scattering Bessel kernel J0, and the closed-form
 Rayleigh level-crossing-rate oracle used to validate the crossing estimator
 with :func:`is_rayleigh`, the one test of where it applies.
@@ -41,13 +47,13 @@ from __future__ import annotations
 
 import importlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .params import TWO_PI, ChannelParams
-from .sos import phasor_sum_bound
 
 
 class _Deferred:
@@ -407,10 +413,6 @@ def f_s(x, n: int):
     return float(val) if val.ndim == 0 else val
 
 
-def _tone_weights(p: ChannelParams) -> tuple[float, float, float]:
-    return p.v1 ** 2 / p.omega, p.v2 ** 2 / p.omega, p.diffuse_power / p.omega
-
-
 def ref_acf_quadrature(
     p: ChannelParams,
     rates: tuple[float, float],
@@ -422,7 +424,7 @@ def ref_acf_quadrature(
     Rxx(tau) = v1^2/(2*omega)*cos(rate1*tau) + v2^2/(2*omega)*cos(rate2*tau)
                + diffuse/(2*omega)*J0(2*pi*f_D*tau).
     """
-    w1, w2, wd = _tone_weights(p)
+    w1, w2, wd = p.power_fractions
     tau = grid.lags_s
     values = 0.5 * (
         w1 * np.cos(rates[0] * tau)
@@ -440,7 +442,7 @@ def ref_ccf_quadrature(
     Rxy(tau) = v1^2/(2*omega)*sin(rate1*tau) + v2^2/(2*omega)*sin(rate2*tau);
     Ryx = -Rxy.  The diffuse component contributes nothing.
     """
-    w1, w2, _ = _tone_weights(p)
+    w1, w2, _ = p.power_fractions
     tau = grid.lags_s
     values = 0.5 * (w1 * np.sin(rates[0] * tau) + w2 * np.sin(rates[1] * tau))
     return CorrelationSeries("rxy", grid, values)
@@ -460,7 +462,7 @@ def ref_acf_complex(
     sums rzz_re and rzz_im from the quadrature families by KIND_FAMILIES;
     this direct form is the independent reference that sum is tested against.
     """
-    w1, w2, wd = _tone_weights(p)
+    w1, w2, wd = p.power_fractions
     tau = grid.lags_s
     rzz = (
         w1 * np.exp(-1j * rates[0] * tau)
@@ -480,7 +482,7 @@ def ref_acf_squared(
     grid: LagGrid,
 ) -> CorrelationSeries:
     """Squared-envelope ACF of the reference model."""
-    w1, w2, wd = _tone_weights(p)
+    w1, w2, wd = p.power_fractions
     tau = grid.lags_s
     j0 = bessel_j0(TWO_PI * doppler_hz * tau)
     values = (
@@ -507,7 +509,7 @@ def sim_acf_squared(
     ref = ref_acf_squared(p, rates, doppler_hz, grid)
     x = TWO_PI * doppler_hz * grid.lags_s
     fc, fs = _fc_fs(x, n_sinusoids)
-    wd = p.diffuse_power / p.omega
+    _, _, wd = p.power_fractions
     values = ref.values - wd ** 2 * (fc + fs)
     return CorrelationSeries("rsq", grid, values)
 
@@ -541,8 +543,9 @@ def _reference_cut(p: ChannelParams) -> float:
     refuses one slightly wider.
     """
     _require_diffuse(p)
-    b = p.v1 / math.sqrt(p.omega) + p.v2 / math.sqrt(p.omega)
-    st2 = p.diffuse_power / (2.0 * p.omega)
+    vt1, vt2 = p.tone_amplitudes
+    b = vt1 + vt2
+    st2 = p.power_fractions[2] / 2
     if st2 * _REF_CUT_EPS == 0:
         raise ValueError(_TOO_NARROW)
     s = math.sqrt(st2)
@@ -556,9 +559,8 @@ def _reference_cut(p: ChannelParams) -> float:
 def _reference_hankel_weights(p: ChannelParams, r_max: float):
     """Nodes u and weights w * J0(vt1 u) J0(vt2 u) exp(-st2 u^2 / 2) of the
     reference Hankel integrals, for evaluation points up to ``r_max``."""
-    vt1 = p.v1 / math.sqrt(p.omega)
-    vt2 = p.v2 / math.sqrt(p.omega)
-    st2 = p.diffuse_power / (2.0 * p.omega)
+    vt1, vt2 = p.tone_amplitudes
+    st2 = p.power_fractions[2] / 2
     u_max = math.sqrt(2.0 * math.log(1.0 / _PDF_TAIL_EPS) / st2)
     u, w = _gl_nodes_on(u_max, r_max + vt1 + vt2)
     return u, w * special.j0(vt1 * u) * special.j0(vt2 * u) * np.exp(-0.5 * st2 * u * u)
@@ -636,7 +638,9 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
 
     At any fixed time the generator output is a sum of independent
     uniform-phase phasors: the two tones, of amplitudes vt_i = v_i/sqrt(omega),
-    and N diffuse paths of amplitude a = sqrt(diffuse_power/(N*omega)).
+    and N diffuse paths of amplitude a = sqrt(diffuse_power/N)/sqrt(omega),
+    read off ``ChannelParams`` (``tone_amplitudes``, ``path_amplitude``) as
+    the generator reads them.
     Kluyver's (1905) formula gives the exact CDF of their resultant,
 
         F_N(r) = r * int_0^inf J1(r u) J0(vt1 u) J0(vt2 u) J0(a u)^N du,
@@ -669,7 +673,8 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
     tones and far smaller for larger N.  Halving the step or moving U by a
     factor 2.5 either way changes no value by more than 1e-13.
 
-    Raises ValueError, before either integral runs, for fewer than 3
+    Raises TypeError for a sinusoid count that is not an integer, and
+    ValueError, before either integral runs, for fewer than 3
     sinusoids (the integral diverges at N <= 2 without tones), for a channel
     without diffuse power, when the tail's 2^tones * (N+1) terms times its
     ray nodes pass _GL_MAX_NODES (N near 9000 with two tones), and, as "too
@@ -678,6 +683,7 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
     diffuse part that narrow is refused before the tail reads its ray, which
     is then empty.
     """
+    n_sinusoids = operator.index(n_sinusoids)
     if n_sinusoids < 3:
         raise ValueError(
             f"finite-N envelope law requires n_sinusoids >= 3, got {n_sinusoids}"
@@ -686,13 +692,13 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
     edges = _cdf_edges(edges)
     if edges.size and edges[0] < 0:
         raise ValueError(f"envelope value must be >= 0, got {edges[0]}")
-    tones = [v / math.sqrt(p.omega) for v in (p.v1, p.v2) if v > 0]
-    a = math.sqrt(p.diffuse_power / (n_sinusoids * p.omega))
+    tones = [v for v in p.tone_amplitudes if v > 0]
+    a = p.path_amplitude(n_sinusoids)
     if a == 0:
         raise ValueError(_TOO_NARROW)
     split = _KLUYVER_SPLIT / a
     # The envelope never passes this bound, so F_N is 1 from there on.
-    bound = phasor_sum_bound(p, n_sinusoids)
+    bound = p.envelope_bound(n_sinusoids)
     cdf = np.where(edges >= bound, 1.0, 0.0)
     inner = (edges > 0) & (edges < bound)
     if np.any(inner):
@@ -731,14 +737,14 @@ def _kluyver_tail(r, tones, a, n, split, t, wt) -> np.ndarray:
 
     # Log of the r-independent factors of every term (tone signs and the
     # number j of diffuse factors taking the e^{+iau} Hankel half), with the
-    # exponentials e^{i*Omega*u} factored out into omega_q.
+    # exponentials e^{i*Omega*u} factored out: net_q holds their Omega.
     log_g = np.zeros((1, t.size), dtype=complex)
-    omega_q = np.zeros(1)
+    net_q = np.zeros(1)
     for v in tones:
         log_plus = np.log(0.5 * special.hankel1e(0, v * z))
         log_minus = np.log(0.5 * special.hankel2e(0, v * z))
         log_g = np.concatenate([log_g + log_plus, log_g + log_minus])
-        omega_q = np.concatenate([omega_q + v, omega_q - v])
+        net_q = np.concatenate([net_q + v, net_q - v])
     j = np.arange(n + 1)
     log_binom = (
         special.gammaln(n + 1)
@@ -752,16 +758,16 @@ def _kluyver_tail(r, tones, a, n, split, t, wt) -> np.ndarray:
         + (n - j)[:, None] * np.log(special.hankel2e(0, a * z))
     )
     log_g = (log_g[:, None, :] + log_d[None]).reshape(-1, t.size)
-    omega_q = (omega_q[:, None] + (2 * j - n) * a).ravel()
+    net_q = (net_q[:, None] + (2 * j - n) * a).ravel()
 
     out = np.empty(r.size)
     for i, rv in enumerate(r):
         total = 0.0
         for sign, hankel in ((1.0, special.hankel1e), (-1.0, special.hankel2e)):
-            omega = omega_q + sign * rv
-            count = np.where(omega > _OMEGA_ZERO, 2.0, 1.0)
-            sel = omega >= -_OMEGA_ZERO
-            om = np.maximum(omega[sel], 0.0)[:, None]
+            net = net_q + sign * rv
+            count = np.where(net > _OMEGA_ZERO, 2.0, 1.0)
+            sel = net >= -_OMEGA_ZERO
+            om = np.maximum(net[sel], 0.0)[:, None]
             expo = (
                 log_g[sel]
                 + np.log(0.5 * rv * hankel(1, rv * z))

@@ -102,6 +102,30 @@ class TestChannelParamsInvariants:
             ChannelParams.from_components(0.0, 1.0, 0.5)
 
 
+class TestNormalizedPhasors:
+    def test_members_are_z_normalized_by_omega(self):
+        p = ChannelParams.from_components(1.2, 0.6, 0.5)
+        root = math.sqrt(p.omega)
+        assert p.omega == 1.2 ** 2 + 0.6 ** 2 + 0.5
+        assert p.tone_amplitudes == (1.2 / root, 0.6 / root)
+        assert p.power_fractions == (1.2 ** 2 / p.omega, 0.6 ** 2 / p.omega, 0.5 / p.omega)
+        assert p.path_amplitude(8) == math.sqrt(0.5 / 8) / root
+        assert p.envelope_bound(8) == (1.2 + 0.6 + math.sqrt(0.5 * 8)) / root
+
+    @pytest.mark.parametrize("omega", [1.0, 2.3, 1e-3])
+    def test_unit_power_and_bound_at_any_omega(self, omega):
+        p = from_k_gamma(10.0, 0.5, omega)
+        assert sum(p.power_fractions) == pytest.approx(1.0, rel=1e-15)
+        amps = [*p.tone_amplitudes] + [p.path_amplitude(8)] * 8
+        assert p.envelope_bound(8) == pytest.approx(sum(amps), rel=1e-15)
+
+    def test_reading_them_leaves_the_digest_fields(self):
+        # The scenario digest packs vars(params): the four fields, nothing cached.
+        p = from_k_gamma(10.0, 0.5, 2.3)
+        p.tone_amplitudes, p.power_fractions, p.path_amplitude(8), p.envelope_bound(8)
+        assert list(vars(p)) == ["v1", "v2", "diffuse_power", "omega"]
+
+
 class TestPhaseRate:
     def test_perpendicular_arrival(self):
         assert phase_rate(math.pi / 2, 1000.0) == pytest.approx(0.0, abs=1e-9)
@@ -181,6 +205,24 @@ class TestScenarioValidation:
         assert scenario_violations(make_scenario(**{field: 2 ** 32 - 1})) == []
         with pytest.raises(InvalidScenarioError, match=f"{field}: .*2\\*\\*32"):
             validate_scenario(make_scenario(**{field: 2 ** 32}))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_sinusoids", 8.0), ("n_trials", 3.5), ("n_samples", 300.0), ("seed", 1.5),
+         ("seed", "1")],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        cfg = make_scenario(**{field: value})
+        assert scenario_violations(cfg) == [f"{field}: must be an integer, got {value!r}"]
+        with pytest.raises(InvalidScenarioError, match=f"{field}: must be an integer"):
+            validate_scenario(cfg)
+
+    def test_numpy_integer_counts_and_seed_accepted(self):
+        counts = dict(n_sinusoids=np.int64(8), n_trials=np.uint32(3), n_samples=np.int16(300))
+        scn = validate_scenario(make_scenario(seed=np.uint64(2 ** 64 - 1), **counts))
+        assert scn.digest() == validate_scenario(
+            make_scenario(seed=2 ** 64 - 1, n_sinusoids=8, n_trials=3, n_samples=300)
+        ).digest()
 
     def test_collects_every_violation(self):
         cfg = make_scenario(fd_ts=0.7, n_trials=0, n_samples=1, n_sinusoids=0)

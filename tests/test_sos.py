@@ -225,9 +225,14 @@ class TestGenerateTrace:
         assert np.array_equal(a.samples, b.samples)
         assert a.scenario_digest == b.scenario_digest == scn.digest()
 
-    @pytest.mark.parametrize("n_samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 6001, 40000])
-    def test_block_synthesis_matches_definition(self, n_samples):
-        scn = small_scenario(k=10.0, gamma=1.0, n_samples=n_samples)
+    @pytest.mark.parametrize(
+        "n_samples,omega",
+        [(2, 1.0), (BLOCK - 1, 1.0), (BLOCK, 1.0), (BLOCK + 1, 1.0), (6001, 1.0), (40000, 1.0),
+         (6001, 2.3)],
+        ids=["2", str(BLOCK - 1), str(BLOCK), str(BLOCK + 1), "6001", "40000", "6001-omega2.3"],
+    )
+    def test_block_synthesis_matches_definition(self, n_samples, omega):
+        scn = small_scenario(k=10.0, gamma=1.0, n_samples=n_samples, omega=omega)
         for trial in (0, 5):
             got = generate_trace(scn, trial).samples
             assert got.shape == (n_samples,)
@@ -386,17 +391,18 @@ class TestGenerateEnsemble:
     def test_envelope_bound_random_scenarios(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
-            scn = validate_scenario(
-                make_scenario(
-                    k=10.0 ** rng.uniform(-1, 2),
-                    gamma=rng.uniform(0, 1),
-                    n_trials=3,
-                    n_samples=500,
-                    seed=int(rng.integers(2 ** 32)),
-                )
+            draw = dict(
+                k=10.0 ** rng.uniform(-1, 2),
+                gamma=rng.uniform(0, 1),
+                n_trials=3,
+                n_samples=500,
+                seed=int(rng.integers(2 ** 32)),
             )
-            env = np.abs(generate_ensemble(scn).sample_matrix)
-            assert np.all(env <= envelope_bound(scn) + 1e-12)
+            # Each draw at unit power and again at omega = 2.3.
+            for omega in (1.0, 2.3):
+                scn = validate_scenario(make_scenario(omega=omega, **draw))
+                env = np.abs(generate_ensemble(scn).sample_matrix)
+                assert np.all(env <= envelope_bound(scn) + 1e-12)
 
     def test_power_deviation_shrinks_with_trials(self):
         # average |E|z|^2 - 1| over 10 seed groups at M=500 vs M=2000

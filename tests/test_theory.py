@@ -727,10 +727,13 @@ def _mpmath_kluyver_cdf(p, n, r, eps=1e-8):
 
 class TestEnvelopeCdfSimulator:
     @pytest.mark.parametrize(
-        "k,gamma,n,r", [(0.0, 0.0, 8, 1.0), (0.0, 0.0, 16, 0.6), (10.0, 1.0, 8, 1.2)]
+        "k,gamma,n,r,omega",
+        [(0.0, 0.0, 8, 1.0, 1.0), (0.0, 0.0, 16, 0.6, 1.0), (10.0, 1.0, 8, 1.2, 1.0),
+         (10.0, 0.5, 8, 1.2, 2.3)],
+        ids=["0.0-0.0-8-1.0", "0.0-0.0-16-0.6", "10.0-1.0-8-1.2", "10.0-0.5-8-1.2-omega2.3"],
     )
-    def test_against_mpmath(self, k, gamma, n, r):
-        p = from_k_gamma(k, gamma)
+    def test_against_mpmath(self, k, gamma, n, r, omega):
+        p = from_k_gamma(k, gamma, omega)
         want = _mpmath_kluyver_cdf(p, n, r)
         assert abs(envelope_cdf_simulator(p, n, [r])[0] - want) <= 2e-8
 
@@ -823,6 +826,11 @@ class TestEnvelopeCdfSimulator:
     def test_rejects_too_few_sinusoids(self):
         with pytest.raises(ValueError, match="n_sinusoids"):
             envelope_cdf_simulator(from_k_gamma(0.0, 0.0), 2, [0.5, 1.0])
+
+    @pytest.mark.parametrize("n", [8.5, 3.0000001, 8.0])
+    def test_rejects_a_non_integer_sinusoid_count(self, n):
+        with pytest.raises(TypeError):
+            envelope_cdf_simulator(from_k_gamma(10.0, 0.5), n, [0.5, 1.0, 1.5])
 
     def test_rejects_no_diffuse(self):
         with pytest.raises(ValueError, match="diffuse"):
