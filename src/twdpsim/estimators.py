@@ -399,36 +399,71 @@ def envelope_pdf(
     return HistogramDensity(edges, densities, picks.size)
 
 
+def _checked_thresholds(thresholds) -> np.ndarray:
+    """``thresholds`` as a 1-D float array, once each is >= 0 and not NaN; a
+    scalar is one threshold."""
+    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
+    if thresholds.ndim != 1:
+        raise ValueError("thresholds must be a scalar or a 1-D sequence")
+    if not np.all(thresholds >= 0):  # NaN fails this too
+        raise ValueError("thresholds must be >= 0 and not NaN")
+    return thresholds
+
+
 def per_trial_crossing_rates(
     ens: Ensemble, thresholds: np.ndarray
 ) -> np.ndarray:
     """Normalized upward crossing rates per trial, shape (n_trials, n_thresholds).
 
-    An upward crossing is a sample pair (at-or-below, above): one comparison
-    per sample marks it above or not, and a crossing is a not-above sample
-    followed by an above one, which is the one mask above[1:] > above[:-1].
-    Each trial's mask is counted by ``np.count_nonzero`` without an axis,
-    numpy's fast path for a bool array.  Counts divide by the per-trial
-    observation time and the maximum Doppler frequency.
+    An upward crossing of rho is a sample pair env_t <= rho < env_{t+1}, so it
+    lies on a rising step.  The envelope rises through a maximal run of rising
+    steps, from env_s up to env_e, so the run holds exactly one crossing of
+    rho when env_s <= rho < env_e and none otherwise.  Per block of trials,
+    one comparison pass marks the rising steps in a mask with a zero after
+    each trial's last sample, so the mask's changes are the run starts and
+    ends, alternating, and no run joins two trials.  One ``searchsorted``
+    (side left) of the run end values into the sorted distinct thresholds
+    gives each run the range of thresholds it crosses, and each trial counts
+    its ranges in a difference array (``bincount``, then ``cumsum``), read
+    back in the caller's threshold order.
+
+    For n samples, R runs and T thresholds that costs O(n + R log T) per
+    block, where a comparison pass per threshold costs O(n T).  R grows with
+    f_D*T_s: about 980 runs per 8 x 10000 block at 0.01, and 31000, about
+    one per 2.5 samples, at 0.5, where the search dominates.  Counts divide
+    by the per-trial observation time and the maximum Doppler frequency.
     """
-    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    if not np.all(thresholds >= 0):  # NaN fails this too
-        raise ValueError("thresholds must be >= 0 and not NaN")
+    thresholds = _checked_thresholds(thresholds)
+    levels, rank = np.unique(thresholds, return_inverse=True)
+    width = levels.size + 1
     scn = ens.scenario
     obs_time = (scn.n_samples - 1) * scn.sample_period_s
     rates = np.empty((ens.n_trials, thresholds.size))
     for rows, block in ens.blocks():
         env = np.abs(block)
-        for j, rho in enumerate(thresholds):
-            above = env > rho
-            ups = [np.count_nonzero(trial) for trial in above[:, 1:] > above[:, :-1]]
-            rates[rows, j] = np.array(ups) / obs_time / scn.doppler_hz
+        n_rows, n = env.shape
+        # rising[1:] holds the rows' steps: entry t of a row marks
+        # env_t < env_{t+1}, and its entry n - 1 stays False.  So change k,
+        # rising[k] != rising[k + 1], is sample k of env.ravel(): the start of
+        # a run when rising[k + 1] is True, its end when it is False.
+        rising = np.zeros(n_rows * n + 1, dtype=bool)
+        np.greater(env[:, 1:], env[:, :-1], out=rising[1:].reshape(n_rows, n)[:, :-1])
+        changes = np.flatnonzero(rising[1:] != rising[:-1])
+        # A run's difference-array entries: +1 at its start's level index in
+        # its row, -1 at its end's.
+        keys = changes // n * width + np.searchsorted(levels, env.ravel()[changes])
+        size = n_rows * width
+        marks = np.bincount(keys[::2], minlength=size) - np.bincount(
+            keys[1::2], minlength=size
+        )
+        counts = np.cumsum(marks.reshape(n_rows, width)[:, :-1], axis=1)
+        rates[rows] = counts[:, rank] / obs_time / scn.doppler_hz
     return rates
 
 
 def level_crossing_rate(ens: Ensemble, thresholds) -> LcrCurve:
     """Trial-averaged normalized level crossing rate curve."""
-    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
+    thresholds = _checked_thresholds(thresholds)
     scn = ens.scenario
     total_time = _trial_count(ens) * (scn.n_samples - 1) * scn.sample_period_s
     rates = per_trial_crossing_rates(ens, thresholds).mean(axis=0)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass
@@ -64,6 +65,12 @@ class InvalidScenarioError(ValueError):
         self.errors = list(errors)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, a numpy scalar's included: not a
+    string, None or a complex, which the range checks cannot compare."""
+    return isinstance(value, numbers.Real)
+
+
 def wrap_angle(angle):
     """Reduce an angle, or an array of them, to the interval [-pi, pi)."""
     return (angle + math.pi) % TWO_PI - math.pi
@@ -95,7 +102,13 @@ class ChannelParams:
     omega: float
 
     def __post_init__(self):
-        problems = []
+        problems = [
+            f"{name} must be a real number, got {value!r}"
+            for name, value in vars(self).items()
+            if not _is_real(value)
+        ]
+        if problems:
+            raise ParameterError("; ".join(problems))
         if not (math.isfinite(self.v1) and self.v1 >= 0):
             problems.append(f"v1 must be finite and >= 0, got {self.v1}")
         if not (math.isfinite(self.v2) and self.v2 >= 0):
@@ -269,12 +282,12 @@ class ValidatedScenario(ScenarioConfig):
 def scenario_violations(cfg: ScenarioConfig) -> list[str]:
     """Return the complete list of constraint violations (empty if valid)."""
     errors = []
-    if not (math.isfinite(cfg.doppler_hz) and cfg.doppler_hz > 0):
-        errors.append(f"doppler: doppler_hz must be > 0, got {cfg.doppler_hz}")
-    if not (math.isfinite(cfg.sample_period_s) and cfg.sample_period_s > 0):
-        errors.append(
-            f"sampling: sample_period_s must be > 0, got {cfg.sample_period_s}"
-        )
+    for prefix, name in (("doppler", "doppler_hz"), ("sampling", "sample_period_s")):
+        value = getattr(cfg, name)
+        if not _is_real(value):
+            errors.append(f"{prefix}: {name} must be a real number, got {value!r}")
+        elif not (math.isfinite(value) and value > 0):
+            errors.append(f"{prefix}: {name} must be > 0, got {value}")
     if not errors and cfg.doppler_hz * cfg.sample_period_s > 0.5:
         errors.append(
             "doppler_sampling: f_D*T_s = "
@@ -298,8 +311,11 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
         if not low <= value < high:
             errors.append(f"{name}: {rule}, got {value}")
     for name in ("aoa1", "aoa2"):
-        if not math.isfinite(getattr(cfg, name)):
-            errors.append(f"{name}: must be finite, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        if not _is_real(value):
+            errors.append(f"{name}: must be a real number, got {value!r}")
+        elif not math.isfinite(value):
+            errors.append(f"{name}: must be finite, got {value}")
     return errors
 
 

@@ -676,21 +676,68 @@ class TestLevelCrossingRate:
         with pytest.raises(ValueError, match="NaN"):
             estimator(ens, [np.nan, 1.0])
 
+    @pytest.mark.parametrize("estimator", [per_trial_crossing_rates, level_crossing_rate])
+    @pytest.mark.parametrize("thresholds", [[[0.5], [1.0]], [[0.5, 1.0]]])
+    def test_rejects_thresholds_that_are_not_1d(self, estimator, thresholds):
+        scn = synth_scenario(2, 100)
+        ens = synthetic_ensemble(np.ones((2, 100), dtype=complex), scn)
+        with pytest.raises(ValueError, match="1-D"):
+            estimator(ens, thresholds)
+
     def test_counts_equal_the_two_comparison_definition(self):
-        # A crossing is a pair (at-or-below, above).  Thresholds equal to
-        # sample values put samples exactly on the `<=` tie.  37 trials are
-        # more than one TRIAL_BLOCK.
+        # A crossing is a pair (at-or-below, above), counted here one
+        # threshold at a time.  Thresholds equal to sample values, and the
+        # plateaus of a quantized envelope, put samples exactly on the `<=`
+        # tie; ramps, constant trials beside noisy ones and 2-sample traces
+        # give runs at and without the trial edges; 37 trials are more than
+        # one TRIAL_BLOCK; and at f_D*T_s = 0.5 a run ends about every 2.5
+        # steps.
+        def check(ens, env, thresholds, case):
+            rates = per_trial_crossing_rates(ens, thresholds)
+            assert rates.shape == (len(env), len(thresholds)), case
+            scn = ens.scenario
+            obs_time = (scn.n_samples - 1) * scn.sample_period_s
+            for j, rho in enumerate(thresholds):
+                ups = ((env[:, :-1] <= rho) & (env[:, 1:] > rho)).sum(axis=1)
+                want = ups / obs_time / scn.doppler_hz
+                assert rates[:, j].tobytes() == want.tobytes(), (case, j)
+            return rates
+
+        assert 37 > TRIAL_BLOCK
         for n_trials in (7, 37):
             scn = synth_scenario(n_trials, 400)
             rng = np.random.default_rng(61)
             z = rng.standard_normal((n_trials, 400)) + 1j * rng.standard_normal((n_trials, 400))
-            ens = synthetic_ensemble(z, scn)
             env = np.abs(z)
             thresholds = np.concatenate(([0.0, 0.5, 1.0], env[0, :40], env[3, 200:220]))
-            rates = per_trial_crossing_rates(ens, thresholds)
-            obs_time = (400 - 1) * scn.sample_period_s
-            for j, rho in enumerate(thresholds):
-                ups = ((env[:, :-1] <= rho) & (env[:, 1:] > rho)).sum(axis=1)
-                want = ups / obs_time / scn.doppler_hz
-                assert rates[:, j].tobytes() == want.tobytes(), (n_trials, j)
+            rates = check(synthetic_ensemble(z, scn), env, thresholds, n_trials)
             assert np.any(rates > 0)
+            # Unsorted, with duplicates, 0 and inf; and no thresholds at all.
+            unsorted = np.concatenate(([1.0, np.inf, 0.0, 1.0], env[0, :40], env[0, 9:3:-1]))
+            check(synthetic_ensemble(z, scn), env, unsorted, ("unsorted", n_trials))
+            check(synthetic_ensemble(z, scn), env, [], ("none", n_trials))
+            # Plateaus: a quarter-step grid makes runs of equal samples.
+            plateaus = np.round(env * 4) / 4
+            assert np.any(plateaus[:, 1:] == plateaus[:, :-1])
+            grid = np.concatenate((np.arange(0.0, 3.0, 0.25), np.arange(0.125, 3.0, 0.25)))
+            rates = check(
+                synthetic_ensemble(plateaus, scn), plateaus, grid, ("plateaus", n_trials)
+            )
+            assert np.any(rates > 0)
+
+        ramp = np.linspace(0.0, 2.0, 50)
+        rows = np.stack([ramp, ramp[::-1], np.ones(50), np.abs(z[0, :50]), ramp])
+        levels = np.concatenate(([0.0, 1.0, np.inf], ramp[::7], rows[3, ::5]))
+        rates = check(synthetic_ensemble(rows, synth_scenario(5, 50)), rows, levels, "ramps")
+        assert not np.any(rates[1:3]) and np.any(rates[0]) and np.any(rates[3])
+
+        pairs = np.random.default_rng(62).integers(0, 3, (19, 2)).astype(float)
+        levels = [0.0, 0.5, 1.0, 1.5, 2.0, np.inf, 1.0]
+        check(synthetic_ensemble(pairs, synth_scenario(19, 2)), pairs, levels, "2 samples")
+
+        scn = synth_scenario(2 * TRIAL_BLOCK + 3, 2000, k=10.0, fd_ts=0.5)
+        held = generate_ensemble(scn)
+        env = np.abs(held.sample_matrix)
+        levels = np.concatenate((np.round(np.arange(0.1, 2.51, 0.1), 10), env[2, :30]))
+        for ens in (held, LazyEnsemble(scn)):
+            check(ens, env, levels, ("undersampled", type(ens).__name__))

@@ -101,6 +101,19 @@ class TestChannelParamsInvariants:
         with pytest.raises(ParameterError):
             ChannelParams.from_components(0.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "fields,field",
+        [(("x", 0.0, 1.0, 1.0), "v1"), ((1.0, 0.0, None, 2.0), "diffuse_power")],
+        ids=["v1-str", "diffuse-none"],
+    )
+    def test_rejects_a_field_that_is_not_a_real_number(self, fields, field):
+        with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+            ChannelParams(*fields)
+
+    def test_numpy_scalar_fields_accepted(self):
+        p = ChannelParams(np.float32(1.0), np.int64(0), np.float64(1.0), 2.0)
+        assert to_k_gamma(p) == (1.0, 0.0)
+
 
 class TestNormalizedPhasors:
     def test_members_are_z_normalized_by_omega(self):
@@ -216,6 +229,29 @@ class TestScenarioValidation:
         assert scenario_violations(cfg) == [f"{field}: must be an integer, got {value!r}"]
         with pytest.raises(InvalidScenarioError, match=f"{field}: must be an integer"):
             validate_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("aoa1", "x", "aoa1: must be"),
+         ("aoa2", None, "aoa2: must be"),
+         ("aoa1", 1 + 0j, "aoa1: must be"),
+         ("aoa2", np.complex128(0.5), "aoa2: must be"),
+         ("doppler_hz", "1000", "doppler: doppler_hz must be"),
+         ("sample_period_s", "1e-5", "sampling: sample_period_s must be")],
+        ids=["aoa1-str", "aoa2-none", "aoa1-complex", "aoa2-numpy-complex", "doppler-str",
+             "sampling-str"],
+    )
+    def test_fields_must_be_real_numbers(self, field, value, message):
+        # Listed, not raised: scenario_violations gives the complete list.
+        cfg = replace(make_scenario(), **{field: value})
+        assert scenario_violations(cfg) == [f"{message} a real number, got {value!r}"]
+        with pytest.raises(InvalidScenarioError, match="must be a real number"):
+            validate_scenario(cfg)
+
+    def test_numpy_real_fields_accepted(self):
+        fields = dict(aoa1=np.float32(0.5), aoa2=np.int64(2), doppler_hz=np.float64(1000.0))
+        cfg = replace(make_scenario(), sample_period_s=np.float64(1e-5), **fields)
+        assert scenario_violations(cfg) == []
 
     def test_numpy_integer_counts_and_seed_accepted(self):
         counts = dict(n_sinusoids=np.int64(8), n_trials=np.uint32(3), n_samples=np.int16(300))
