@@ -67,8 +67,21 @@ class InvalidScenarioError(ValueError):
 
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number, a numpy scalar's included: not a
-    string, None or a complex, which the range checks cannot compare."""
-    return isinstance(value, numbers.Real)
+    string, None or a complex, which the range checks cannot compare.  A
+    float is let through first: the ABC check costs about 0.4 us, and
+    synthesis reads two phase rates per trace."""
+    return type(value) is float or isinstance(value, numbers.Real)
+
+
+def _require_real(**values) -> None:
+    """Refuse, naming each, the ``values`` that are not real numbers."""
+    problems = [
+        f"{name} must be a real number, got {value!r}"
+        for name, value in values.items()
+        if not _is_real(value)
+    ]
+    if problems:
+        raise ParameterError("; ".join(problems))
 
 
 def wrap_angle(angle):
@@ -82,7 +95,8 @@ def phase_rate(aoa: float, doppler_hz: float) -> float:
     ``doppler_hz`` is the maximum Doppler frequency f_D = v/lambda and must be
     positive.
     """
-    if not doppler_hz > 0:
+    if not (_is_real(doppler_hz) and doppler_hz > 0):
+        _require_real(doppler_hz=doppler_hz)
         raise ParameterError(f"doppler_hz must be > 0, got {doppler_hz}")
     return -TWO_PI * doppler_hz * math.cos(aoa)
 
@@ -102,13 +116,8 @@ class ChannelParams:
     omega: float
 
     def __post_init__(self):
-        problems = [
-            f"{name} must be a real number, got {value!r}"
-            for name, value in vars(self).items()
-            if not _is_real(value)
-        ]
-        if problems:
-            raise ParameterError("; ".join(problems))
+        _require_real(**vars(self))
+        problems = []
         if not (math.isfinite(self.v1) and self.v1 >= 0):
             problems.append(f"v1 must be finite and >= 0, got {self.v1}")
         if not (math.isfinite(self.v2) and self.v2 >= 0):
@@ -136,6 +145,7 @@ class ChannelParams:
     @classmethod
     def from_components(cls, v1: float, v2: float, diffuse_power: float) -> "ChannelParams":
         """Build params with omega computed from the component powers."""
+        _require_real(v1=v1, v2=v2, diffuse_power=diffuse_power)
         try:
             omega = v1 ** 2 + v2 ** 2 + diffuse_power
         except OverflowError:  # rejected below as a non-finite omega
@@ -181,6 +191,7 @@ def from_k_gamma(k: float, gamma: float, omega: float = DEFAULT_OMEGA) -> Channe
     The diffuse power is omega/(1+k) and the specular power omega*k/(1+k) is
     split between the tones so that v2 = gamma*v1.
     """
+    _require_real(k=k, gamma=gamma, omega=omega)
     if not (math.isfinite(k) and k >= 0):
         raise ParameterError(f"k must be finite and >= 0, got {k}")
     if not (0.0 <= gamma <= 1.0):
@@ -197,11 +208,9 @@ def to_k_gamma(p: ChannelParams) -> tuple[float, float]:
     """Recover (k, gamma) from linear params.
 
     k is +inf when there is no diffuse power; gamma is 0 when both tones
-    vanish.  A lone second tone (v1=0, v2>0) violates the canonical ordering
-    and is rejected.
+    vanish.  A lone second tone (v1=0, v2>0) cannot reach it: ``ChannelParams``
+    refuses any v2 > v1.
     """
-    if p.v1 == 0 and p.v2 > 0:
-        raise ParameterError("v1=0 with v2>0 violates canonical ordering")
     if p.diffuse_power == 0:
         k = math.inf
     else:
@@ -354,6 +363,7 @@ def make_scenario(
     explicitly.  The sample period derives from the normalized product
     ``fd_ts = f_D * T_s``, so ``doppler_hz`` must be positive.
     """
+    _require_real(doppler_hz=doppler_hz, fd_ts=fd_ts)
     if doppler_hz <= 0:
         raise ParameterError(f"doppler_hz must be > 0, got {doppler_hz}")
     if params is None:

@@ -218,6 +218,23 @@ class TestCliDispatch:
         assert cols == ["lag_s", "fd_tau", "value", "oracle_value"]
         assert np.abs(rows[:, 2] - rows[:, 3]).max() <= 0.05
 
+    def test_acf_rzz_where_only_one_anchor_fits(self, tmp_path, capsys):
+        # The default grid's 1001 lags leave 1002 samples one anchor, sample
+        # 0, so each lag l is the trial mean of z[0]*conj(z[l]).
+        cfg = tmp_path / "one-anchor.cfg"
+        cfg.write_text("k = 10\ngamma = 0.5\nn_trials = 20\nn_samples = 1002\nseed = 4\n")
+        out = tmp_path / "acf.csv"
+        assert cli_dispatch(["acf", "--kind", "rzz", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        scn = validate_scenario(parse_config(cfg.read_text()))
+        assert len(harness.default_correlation_grid(scn)) == 1001
+        assert estimators.default_anchors(1002, 1000).tolist() == [0]
+        z = sos.generate_ensemble(scn).sample_matrix
+        want = np.sum(z[:, :1] * z[:, :1001].conj(), axis=0) / 20
+        cols, rows = read_series_csv(out)
+        assert np.abs(rows[:, cols.index("value_re")] - want.real).max() <= 1e-12
+        assert np.abs(rows[:, cols.index("value_im")] - want.imag).max() <= 1e-12
+
     @pytest.mark.parametrize("command", ["acf", "pdf", "lcr"])
     def test_empirical_commands_stream_trial_blocks(
         self, command, tmp_path, monkeypatch, capsys

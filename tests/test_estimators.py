@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from twdpsim.estimators import (
     per_trial_crossing_rates,
 )
 from twdpsim.params import ChannelParams, make_scenario, validate_scenario
-from twdpsim.sos import TRIAL_BLOCK, LazyEnsemble, generate_ensemble
+from twdpsim.sos import TRIAL_BLOCK, LazyEnsemble, TraceEnsemble, generate_ensemble
 from twdpsim.theory import (
     LagGrid,
     envelope_cdf_reference,
@@ -138,89 +139,82 @@ def _random_ensemble(n_trials, n_samples, seed):
     return synthetic_ensemble(z, scn), z
 
 
-# Anchor sets for 200-sample traces and 31 lags (max lag 30), by test id, with
-# the polyphase step and transform length each one gets.
-_ANCHOR_SETS = {
-    "custom-anchors": (np.array([0, 3, 4, 50, 101, 168]), 1, 200),
-    "default-anchors": (None, 10, 20),
-    "offset-step12": (np.array([5, 17, 29, 65]), 12, 8),
-    "single-anchor": (np.array([7]), 1, 32),
-    "max-lag-off-step": (np.array([2, 9, 30, 86]), 7, 18),  # 30 = 4*7 + 2
-    "phases-past-trace-end": (np.array([13, 26, 169]), 13, 15),  # 13 + 15*13 > 200
+# Trace geometries (n_samples, n_lags) by test id, with the polyphase step,
+# anchor count and transform length the default anchors give each one.
+_GEOMETRIES = {
+    "default-anchors": ((200, 31), (10, 17, 20)),
+    "single-anchor": ((32, 32), (1, 1, 32)),  # only anchor 0 clears lag 31
+    "two-anchors": ((50, 31), (10, 2, 5)),
+    "max-lag-off-step": ((200, 36), (10, 17, 20)),  # max lag 35 = 3*10 + 5
+    "phases-past-trace-end": ((201, 31), (10, 18, 24)),  # 24*10 > 201
 }
 
 
-# (kind, anchor-set name) for every kind and set; the custom set keeps the
-# bare kind as its test id.
-_KIND_AND_ANCHOR_CASES = [
-    pytest.param(kind, name, id=kind if name == "custom-anchors" else f"{kind}-{name}")
-    for name in _ANCHOR_SETS
+def _geometry_case(name, seed, n_trials=3):
+    """The random ensemble, grid and default anchors of geometry ``name``."""
+    (n_samples, n_lags), _ = _GEOMETRIES[name]
+    ens, z = _random_ensemble(n_trials, n_samples, seed)
+    return ens, z, small_grid(ens.scenario, n_lags), default_anchors(n_samples, n_lags - 1)
+
+
+# (kind, geometry name) for every kind and geometry; the two-anchor geometry
+# keeps the bare kind as its test id.
+_KIND_AND_GEOMETRY_CASES = [
+    pytest.param(kind, name, id=kind if name == "two-anchors" else f"{kind}-{name}")
+    for name in _GEOMETRIES
     for kind in ESTIMATOR_KINDS
 ]
 
 
-@pytest.mark.parametrize("name", _ANCHOR_SETS)
+@pytest.mark.parametrize("name", _GEOMETRIES)
 def test_polyphase_layout(name):
-    ens, _ = _random_ensemble(2, 200, 17)
-    grid = small_grid(ens.scenario, 31)
-    anchors, step, m = _ANCHOR_SETS[name]
-    _, checked, layout = estimators._correlation_setup(ens, ("rxx",), grid, anchors)
-    assert (layout.step, layout.m) == (step, m)
-    assert layout.start == checked[0]
-    assert np.array_equal(layout.start + step * np.flatnonzero(layout.mask), checked)
-    # m * step covers every sample the sums read.
-    assert layout.span == checked[-1] + 30 + 1 - layout.start <= m * step
+    ens, _, grid, anchors = _geometry_case(name, 17, n_trials=2)
+    (n_samples, n_lags), want = _GEOMETRIES[name]
+    _, layout = estimators._correlation_setup(ens, ("rxx",), grid)
+    assert (layout.step, layout.n_anchors, layout.m) == want
+    assert np.array_equal(layout.step * np.arange(layout.n_anchors), anchors)
+    # m * step covers every sample the sums read, and only one geometry's
+    # phases run past the trace end.
+    assert layout.span == anchors[-1] + n_lags <= layout.m * layout.step
+    assert (layout.m * layout.step > n_samples) == (name == "phases-past-trace-end")
 
 
-@pytest.mark.parametrize("kind, name", _KIND_AND_ANCHOR_CASES)
+@pytest.mark.parametrize("kind, name", _KIND_AND_GEOMETRY_CASES)
 def test_per_trial_correlation_matches_definition(kind, name):
-    ens, z = _random_ensemble(3, 200, 17)
-    grid = small_grid(ens.scenario, 31)
-    anchors = _ANCHOR_SETS[name][0]
-    got = per_trial_correlation(ens, kind, grid, anchors)
-    if anchors is None:
-        anchors = default_anchors(200, 30)
-    want = _definition(kind, z, anchors, 31)
+    ens, z, grid, anchors = _geometry_case(name, 17)
+    got = per_trial_correlation(ens, kind, grid)
+    want = _definition(kind, z, anchors, len(grid))
     assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
     assert np.abs(got - want).max() <= 1e-12
 
 
-@pytest.mark.parametrize("name", _ANCHOR_SETS)
+@pytest.mark.parametrize("name", _GEOMETRIES)
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
 def test_correlation_means_matches_definition(kind, name):
-    ens, z = _random_ensemble(3, 200, 19)
-    grid = small_grid(ens.scenario, 31)
-    anchors = _ANCHOR_SETS[name][0]
-    got = correlation_means(ens, (kind,), grid, anchors)[kind]
-    if anchors is None:
-        anchors = default_anchors(200, 30)
-    want = _definition(kind, z, anchors, 31).mean(axis=0)
+    ens, z, grid, anchors = _geometry_case(name, 19)
+    got = correlation_means(ens, (kind,), grid)[kind]
+    want = _definition(kind, z, anchors, len(grid)).mean(axis=0)
     assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
     assert np.abs(got - want).max() <= 1e-12
 
 
 @st.composite
-def _anchor_sets(draw, n_samples):
-    """(anchors, n_lags): a strictly increasing anchor set clear of the final
-    max-lag window, as start + step * sorted offsets."""
-    n_lags = draw(st.integers(1, n_samples // 2))
-    room = n_samples - (n_lags - 1)  # anchors lie in [0, room)
-    step = draw(st.integers(1, room))
-    offsets = draw(
-        st.lists(st.integers(0, (room - 1) // step), min_size=1, max_size=12, unique=True)
-    )
-    start = draw(st.integers(0, room - 1 - step * max(offsets)))
-    return start + step * np.array(sorted(offsets)), n_lags
+def _geometries(draw, max_samples):
+    """(n_samples, n_lags): a trace length and a lag count it can hold, so
+    that 1 up to 8 default anchors clear the final max-lag window."""
+    n_samples = draw(st.integers(2, max_samples))
+    return n_samples, draw(st.integers(1, n_samples))
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_anchor_sets(60))
-def test_correlations_match_definition_on_any_anchor_set(case):
-    anchors, n_lags = case
-    ens, z = _random_ensemble(2, 60, 47)
+@given(case=_geometries(80))
+def test_correlations_match_definition_on_any_geometry(case):
+    n_samples, n_lags = case
+    ens, z = _random_ensemble(2, n_samples, 47)
     grid = small_grid(ens.scenario, n_lags)
-    means = correlation_means(ens, ESTIMATOR_KINDS, grid, anchors)
-    per_trial = per_trial_correlations(ens, ESTIMATOR_KINDS, grid, anchors)
+    anchors = default_anchors(n_samples, n_lags - 1)
+    means = correlation_means(ens, ESTIMATOR_KINDS, grid)
+    per_trial = per_trial_correlations(ens, ESTIMATOR_KINDS, grid)
     for kind in ESTIMATOR_KINDS:
         want = _definition(kind, z, anchors, n_lags)
         assert np.abs(per_trial[kind] - want).max() <= 1e-12
@@ -228,16 +222,12 @@ def test_correlations_match_definition_on_any_anchor_set(case):
 
 
 @pytest.mark.parametrize(
-    "name",
-    _ANCHOR_SETS,
-    ids=lambda name: {"default-anchors": "default", "custom-anchors": "custom"}.get(name, name),
+    "name", _GEOMETRIES, ids=lambda name: {"default-anchors": "default"}.get(name, name)
 )
 def test_correlation_means_equal_per_trial_means(name):
-    anchors = _ANCHOR_SETS[name][0]
-    ens, _ = _random_ensemble(7, 300, 29)
-    grid = small_grid(ens.scenario, 41)
-    means = correlation_means(ens, ESTIMATOR_KINDS, grid, anchors)
-    per_trial = per_trial_correlations(ens, ESTIMATOR_KINDS, grid, anchors)
+    ens, _, grid, _ = _geometry_case(name, 29, n_trials=7)
+    means = correlation_means(ens, ESTIMATOR_KINDS, grid)
+    per_trial = per_trial_correlations(ens, ESTIMATOR_KINDS, grid)
     for kind in ESTIMATOR_KINDS:
         assert means[kind].dtype == per_trial[kind].dtype
         assert np.abs(means[kind] - per_trial[kind].mean(axis=0)).max() <= 1e-14
@@ -299,62 +289,17 @@ def test_correlation_means_fft_budget(monkeypatch):
 def test_per_trial_correlations_fft_budget(monkeypatch):
     # Per trial: for each of x, y and s, one transform of the anchor samples
     # and `step` of the trace phases, and for each of the five kind parts
-    # `step` inverse transforms, all real and of length m.  Anchors 5, 17,
-    # 29, 65 with max lag 30: step 12, 6 grid points, m = next_fast_len(6 + 2)
-    # = 8.
-    ens, _ = _random_ensemble(40, 200, 43)
-    grid = small_grid(ens.scenario, 31)
+    # `step` inverse transforms, all real and of length m.  32 samples with
+    # max lag 31 leave one anchor: step 1, m = next_fast_len(1 + 31) = 32.
+    ens, _ = _random_ensemble(40, 32, 43)
+    grid = small_grid(ens.scenario, 32)
     counts = _count_transforms(monkeypatch)
-    per_trial_correlations(ens, _HARNESS_KINDS, grid, [5, 17, 29, 65])
-    step, m = 12, 8
+    per_trial_correlations(ens, _HARNESS_KINDS, grid)
+    step, m = 1, 32
     assert counts == {
         ("rfft", m): 40 * 3 * (1 + step),
         ("irfft", m): 40 * 5 * step,
     }
-
-
-@pytest.mark.parametrize(
-    "anchors, message",
-    [
-        ([0, 0, 10], "strictly increasing"),  # repeated: masked once, counted twice
-        ([-5, 0], "non-negative"),  # would mark sample n - 5
-        ([20, 0, 10], "strictly increasing"),  # last anchor is not the largest
-        ([0.0, 10.0], "integers"),
-        ([], "empty"),
-        # unsigned gaps would wrap to large positive numbers
-        (np.array([20, 0, 10], dtype=np.uint64), "strictly increasing"),
-        (np.array([20, 0, 10], dtype=np.uint8), "strictly increasing"),
-    ],
-)
-@pytest.mark.parametrize("estimator", [per_trial_correlations, correlation_means])
-def test_bad_anchor_sets_rejected(estimator, anchors, message):
-    ens, _ = _random_ensemble(2, 200, 37)
-    grid = small_grid(ens.scenario, 31)
-    with pytest.raises(LagError, match=message):
-        estimator(ens, ("rxx",), grid, anchors)
-
-
-def test_anchors_must_clear_the_max_lag_window():
-    ens, _ = _random_ensemble(2, 200, 41)
-    grid = small_grid(ens.scenario, 31)
-    correlation_means(ens, ("rxx",), grid, [0, 169])
-    with pytest.raises(LagError, match="overlaps"):
-        correlation_means(ens, ("rxx",), grid, [0, 170])
-
-
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
-def test_anchor_dtype_does_not_change_the_estimate(dtype):
-    # uint8 anchors near 255 would overflow if the window check added the
-    # max lag in their own dtype.
-    ens, _ = _random_ensemble(2, 280, 53)
-    grid = small_grid(ens.scenario, 41)
-    anchors = [5, 125, 235, 239]
-    want = correlation_means(ens, ESTIMATOR_KINDS, grid, anchors)
-    got = correlation_means(ens, ESTIMATOR_KINDS, grid, np.array(anchors, dtype=dtype))
-    for kind in ESTIMATOR_KINDS:
-        assert got[kind].tobytes() == want[kind].tobytes()
-    with pytest.raises(LagError, match="overlaps"):  # 250 + 40 is 34 in uint8
-        correlation_means(ens, ("rxx",), grid, np.array([5, 250], dtype=dtype))
 
 
 def test_per_trial_correlations_bundle_is_bit_identical(monkeypatch):
@@ -397,6 +342,12 @@ def test_rzz_is_rzz_re_plus_j_rzz_im_bit_for_bit(estimator):
         assert part.tobytes() == got[kind].tobytes() == alone[kind].tobytes()
 
 
+def _window(ens, start, stop):
+    """Samples start..stop-1 of every trial of ``ens``, as an ensemble."""
+    scn = replace(ens.scenario, n_samples=stop - start)
+    return TraceEnsemble(ens.sample_matrix[:, start:stop], scn)
+
+
 class TestEnsembleCorrelationStatistical:
     def test_single_tone_cosine(self):
         params = ChannelParams.from_components(1.0, 0.0, 0.0)
@@ -430,16 +381,17 @@ class TestEnsembleCorrelationStatistical:
 
     def test_early_vs_late_anchors_stationary(self, corr_ensembles_m500):
         # WSS surrogate: disjoint anchor epochs give the same Rzz within 3
-        # combined standard errors
+        # combined standard errors.  The early and late windows' default
+        # anchors are the first and the second half of the whole trace's.
         ens = corr_ensembles_m500[(10.0, 0.5)]
         scn = ens.scenario
         grid = LagGrid(np.arange(101) * (10 * scn.sample_period_s), scn.doppler_hz)
         max_lag = 1000
         stop = scn.n_samples - max_lag
-        early = np.arange(0, stop // 2, 10)
-        late = np.arange(stop // 2, stop, 10)
-        za = per_trial_correlation(ens, "rzz", grid, anchors=early)
-        zb = per_trial_correlation(ens, "rzz", grid, anchors=late)
+        early = _window(ens, 0, stop // 2 + max_lag)
+        late = _window(ens, stop // 2, scn.n_samples)
+        za = per_trial_correlation(early, "rzz", grid)
+        zb = per_trial_correlation(late, "rzz", grid)
         m = ens.n_trials
         for part in (np.real, np.imag):
             a, b = part(za), part(zb)
@@ -504,8 +456,10 @@ class TestLazyEnsemble:
         b = per_trial_correlations(held, ESTIMATOR_KINDS, grid)
         for kind in ESTIMATOR_KINDS:
             assert np.array_equal(a[kind], b[kind]), kind
-        a = correlation_means(lazy, ESTIMATOR_KINDS, grid, anchors=[3, 7, 11, 300])
-        b = correlation_means(held, ESTIMATOR_KINDS, grid, anchors=[3, 7, 11, 300])
+        # Max lag 889 leaves two anchors, 0 and 10.
+        grid = small_grid(scn, 890)
+        a = correlation_means(lazy, ESTIMATOR_KINDS, grid)
+        b = correlation_means(held, ESTIMATOR_KINDS, grid)
         for kind in ESTIMATOR_KINDS:
             assert np.array_equal(a[kind], b[kind]), kind
         assert np.array_equal(envelope_picks(lazy), envelope_picks(held))

@@ -49,6 +49,13 @@ class TestFromKGamma:
         with pytest.raises(ParameterError):
             from_k_gamma(k, gamma, omega)
 
+    @pytest.mark.parametrize(
+        "args,field", [(("x", 0.0), "k"), ((1.0, "x"), "gamma")], ids=["k-str", "gamma-str"]
+    )
+    def test_rejects_a_shape_parameter_that_is_not_a_real_number(self, args, field):
+        with pytest.raises(ParameterError, match=f"^{field} must be a real number, got 'x'$"):
+            from_k_gamma(*args)
+
 
 class TestToKGamma:
     def test_rayleigh(self):
@@ -110,6 +117,10 @@ class TestChannelParamsInvariants:
         with pytest.raises(ParameterError, match=f"{field} must be a real number"):
             ChannelParams(*fields)
 
+    def test_from_components_rejects_a_component_that_is_not_a_real_number(self):
+        with pytest.raises(ParameterError, match="^v1 must be a real number, got 'x'$"):
+            ChannelParams.from_components("x", 0.0, 1.0)
+
     def test_numpy_scalar_fields_accepted(self):
         p = ChannelParams(np.float32(1.0), np.int64(0), np.float64(1.0), 2.0)
         assert to_k_gamma(p) == (1.0, 0.0)
@@ -164,6 +175,10 @@ class TestPhaseRate:
         with pytest.raises(ParameterError):
             phase_rate(0.0, 0.0)
 
+    def test_rejects_a_doppler_that_is_not_a_real_number(self):
+        with pytest.raises(ParameterError, match="^doppler_hz must be a real number, got 'x'$"):
+            phase_rate(0.1, "x")
+
 
 class TestScenarioValidation:
     def test_defaults_are_valid(self):
@@ -207,6 +222,14 @@ class TestScenarioValidation:
         message = f"^doppler_hz must be > 0, got {doppler_hz}$"
         with pytest.raises(ParameterError, match=message):
             make_scenario(doppler_hz=doppler_hz)
+
+    @pytest.mark.parametrize(
+        "field,value", [("doppler_hz", "1000"), ("fd_ts", "0.01")], ids=["doppler-str", "fd-ts-str"]
+    )
+    def test_make_scenario_rejects_a_rate_that_is_not_a_real_number(self, field, value):
+        message = f"^{field} must be a real number, got {value!r}$"
+        with pytest.raises(ParameterError, match=message):
+            make_scenario(**{field: value})
 
     def test_zero_trials(self):
         with pytest.raises(InvalidScenarioError, match="n_trials"):
