@@ -19,27 +19,34 @@ t = (b*B + r)*T each one splits as
 
     a_k*exp(j*(phi_k + w_k*b*B*T)) * exp(j*w_k*r*T),   0 <= r < B,
 
-so a trace is one complex matrix product, head (ceil(n/B), N+2) @ tail
-(N+2, B), raveled and cut to n samples.  That takes about
-(n/B + B)*(N+2) complex exponentials instead of n*(N+2).  B = ``BLOCK`` = 64
-trades the head's n/B rows against the tail's B columns and keeps both small
-for traces of 10^3 to 10^5 samples.  The product rounds differently from the
-direct sum, by about 1e-13 on unit-power traces.
+so a trace is one complex matrix product, head (R, N+2) @ tail (N+2, B) with
+R = ceil(n/B) rows, raveled and cut to n samples.  The head factors the same
+way one level up: with S = ceil(sqrt(R)), row b = u*S + v is
+
+    coarse[u] * fine[v] = a_k*exp(j*(phi_k + w_k*u*S*B*T)) * exp(j*w_k*v*B*T),
+
+for u < ceil(R/S) and v < S, so the head is the (ceil(R/S), S) grid of those
+products cut to its first R rows.  That takes about (2*sqrt(n/B) + B)*(N+2)
+complex exponentials instead of n*(N+2), plus R*(N+2) complex products.
+B = ``BLOCK`` = 64 trades the head's rows against the tail's B columns and
+keeps both small for traces of 10^3 to 10^5 samples.  The product rounds
+differently from the direct sum, by about 1e-13 on unit-power traces.
 
 A trace at a sample ``stride`` holds samples t = 0, stride, 2*stride, ...
 only.  Sample t is entry (t // B, t % B) of the product, so a strided trace
-computes only the head rows unique(t // B), by the same expression,
-multiplies them by the same tail and gathers those entries.  It equals
+multiplies only the head rows unique(t // B) by the same tail and gathers
+those entries.  S depends on n alone, never on the stride, so those rows are
+the full trace's rows, the same coarse-by-fine products bit for bit.  It equals
 ``samples[::stride]`` of the full trace bit for bit, because BLAS rounds each
 row of a product the same whatever the number of rows, with one exception: a
 one-row product takes BLAS's matrix-vector path, which rounds differently.
 So a strided trace computes at least two head rows whenever the full trace
 has two (the two-row rule).  BLAS does not promise the rest; the tests pin
 it, and CI compares validation reports at one and at several BLAS threads.
-At 40000 samples and the pdf check's stride of 200 the head shrinks from 625
-rows to 200.  Every stride at or past the trace length picks sample 0 alone,
-so the picks are taken at min(stride, n_samples); the trace keeps its stride
-as given.
+At 40000 samples and the pdf check's stride of 200 the product takes 200 of
+the 625 head rows, and the head 50 rows of exponentials (25 coarse, 25 fine).
+Every stride at or past the trace length picks sample 0 alone, so the picks
+are taken at min(stride, n_samples); the trace keeps its stride as given.
 
 Randomness comes from one Philox substream per (seed, trial_index), so every
 trial is reproducible in isolation and ensembles are independent of execution
@@ -314,8 +321,20 @@ def generate_trace(
         (scenario.rates, TWO_PI * scenario.doppler_hz * np.cos(real.aoas))
     )
     n = scenario.n_samples
+    # Head row r = u*S + v is coarse[u] * fine[v]; S comes from n alone, so
+    # every stride computes the same head rows.  See the module docstring.
+    n_rows = -(-n // BLOCK)
+    span = math.isqrt(n_rows - 1) + 1
+    period = BLOCK * scenario.sample_period_s
+    t_coarse = np.arange(-(-n_rows // span)) * (span * period)
+    t_fine = np.arange(span) * period
+    t_tail = np.arange(BLOCK) * scenario.sample_period_s
+    coarse = amps * np.exp(1j * (phases + np.multiply.outer(t_coarse, rates)))
+    fine = np.exp(1j * np.multiply.outer(t_fine, rates))
+    tail = np.exp(1j * np.multiply.outer(rates, t_tail))
+    head = (coarse[:, None, :] * fine).reshape(-1, n_sin + 2)
     if stride == 1:
-        head_rows = np.arange(-(-n // BLOCK))
+        head = head[:n_rows]
     else:
         # Every stride past the trace picks sample 0 alone, and np.arange
         # takes no int past int64.
@@ -325,10 +344,7 @@ def generate_trace(
             # The two-row rule; see the module docstring.  Every pick is in
             # row 0 here, so row_of still points at it.
             head_rows = np.arange(2)
-    t_head = head_rows * (BLOCK * scenario.sample_period_s)
-    t_tail = np.arange(BLOCK) * scenario.sample_period_s
-    head = amps * np.exp(1j * (phases + np.multiply.outer(t_head, rates)))
-    tail = np.exp(1j * np.multiply.outer(rates, t_tail))
+        head = head[head_rows]
     product = head @ tail
     z = product.ravel()[:n] if stride == 1 else product[row_of, t % BLOCK]
     return FadingTrace(z, trial_index, scenario, stride)

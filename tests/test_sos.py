@@ -298,6 +298,27 @@ def test_strided_trace_is_every_stride_th_sample(n_samples, stride):
         assert picks.sample_period_s == stride * full.sample_period_s
 
 
+# Head row r = u*S + v is coarse[u] * fine[v], S = ceil(sqrt(R)) for the
+# R = ceil(n / BLOCK) rows of the full trace: R from 1 to 5, R a perfect square
+# and one past it, at N = 1, 8 and 64.  Strides B*S and B*S +- 1 pick rows
+# that start a coarse row and rows that cross coarse rows.
+@pytest.mark.parametrize("n_sinusoids", [1, 8, 64])
+@pytest.mark.parametrize(
+    "n_samples",
+    [2, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK, 4 * BLOCK + 1,
+     9 * BLOCK, 9 * BLOCK + 1, 25 * BLOCK, 25 * BLOCK + 1],
+)
+def test_head_split_matches_definition_and_strides(n_samples, n_sinusoids):
+    scn = small_scenario(n_trials=3, n_samples=n_samples, n_sinusoids=n_sinusoids)
+    span = math.isqrt(-(-n_samples // BLOCK) - 1) + 1
+    for trial in range(3):
+        full = generate_trace(scn, trial)
+        assert np.abs(full.samples - direct_trace(scn, trial)).max() <= 1e-12
+        for stride in (BLOCK * span - 1, BLOCK * span, BLOCK * span + 1):
+            picks = generate_trace(scn, trial, stride)
+            assert picks.samples.tobytes() == full.samples[::stride].tobytes(), stride
+
+
 def test_trial_index_is_an_integer_in_the_header_range():
     scn = small_scenario(n_trials=2, n_samples=100)
     with pytest.raises(TypeError):
