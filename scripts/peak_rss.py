@@ -3,8 +3,10 @@
     python3 scripts/peak_rss.py --max-mb 200 -- twdpsim validate --seed 3
 
 The peak is ``ru_maxrss`` of the waited-for children (kilobytes on Linux),
-so it covers the command and anything it waited for.  Exit status: the
-command's own when it fails, 1 when its peak passes ``--max-mb``, else 0.
+so it covers the command and anything it waited for.  Exit status: 1 when
+its peak passes ``--max-mb``, whatever the command's own status, else the
+command's own, so that a command refused on too large an input is still held
+to the ceiling.
 """
 
 from __future__ import annotations
@@ -29,15 +31,13 @@ def main(argv=None) -> int:
         f"wall {wall:.2f} s, peak RSS {peak_mb:.1f} MB (ceiling {args.max_mb:g} MB)",
         file=sys.stderr,
     )
-    if status != 0:
-        return status
     if peak_mb > args.max_mb:
         print(
             f"peak RSS {peak_mb:.1f} MB is over the {args.max_mb:g} MB ceiling",
             file=sys.stderr,
         )
         return 1
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -198,14 +198,11 @@ def _cmd_lcr(args) -> int:
     scn = _load_scenario(args)
     ens = sos.LazyEnsemble(scn)
     curve = estimators.level_crossing_rate(ens, harness.LCR_THRESHOLDS)
-    if theory.is_rayleigh(scn.params):
-        oracle = theory.rayleigh_lcr_oracle(curve.thresholds)
-        columns = ["rho", "rate", "oracle_rate"]
-        rows = np.column_stack([curve.thresholds, curve.rates, oracle])
-    else:
-        columns = ["rho", "rate"]
-        rows = np.column_stack([curve.thresholds, curve.rates])
-    _write_table(args, columns, rows)
+    table = {"rho": curve.thresholds, "rate": curve.rates}
+    # The oracle column is printed where the harness would take the oracle.
+    if harness._LAWS["lcr", "closed_form_oracle"].refuse(scn) is None:
+        table["oracle_rate"] = theory.rayleigh_lcr_oracle(curve.thresholds)
+    _write_table(args, list(table), np.column_stack(list(table.values())))
     return 0
 
 

@@ -18,24 +18,28 @@ The CLI shares these rules: ``correlation_scenario`` builds the builtin and
 the ``validate --config`` correlation checks, ``resolve_scenario`` is the
 scenario ``run_validation`` runs, at its derived seed, and ``validate`` logs,
 ``oracle_series`` is the closed form ``theory`` and ``acf`` print, and
-``lcr`` prints the Rayleigh oracle where ``closed_form_oracle`` applies.
-``oracle_series`` sums the closed forms of a kind's lag-product families by
-``theory.KIND_FAMILIES`` with the rule by which the estimators sum their
-spectra, so an estimate and its oracle cannot differ in a sign.
+``lcr`` prints the Rayleigh oracle where the law table admits the scenario to
+``closed_form_oracle``.  ``oracle_series`` sums the closed forms of a kind's
+lag-product families by ``theory.KIND_FAMILIES`` with the rule by which the
+estimators sum their spectra, so an estimate and its oracle cannot differ in
+a sign.
 
-Oracles, and the statistics each one scores (``STATISTIC_ORACLES``):
+One law table (``_LAWS``) holds every (statistic, oracle) pair the harness
+can score: how the pair is scored, which scenarios it refuses, and, for the
+formula oracles, the oracle's squared-envelope ACF and envelope CDF.
+``STATISTIC_ORACLES`` and ``ORACLES`` are read off it, and a scenario naming
+any other pair is refused.  The oracles, and the statistics each one scores:
   reference_formula    correlations and the envelope density: closed forms of
                        the ideal (Gaussian-diffuse) channel
   simulator_formula    correlations and the envelope density: closed forms of
                        the finite-N generator; for the density, Kluyver's
-                       random-phasor-sum CDF
+                       random-phasor-sum CDF, so 3 sinusoids or more
   closed_form_oracle   lcr: the Rayleigh crossing-rate law, so Rayleigh
                        channels (``theory.is_rayleigh``) only
   self_consistency     lcr: the scenario's ensemble against a second one at a
                        disjoint seed, deviations in combined standard errors
 
-A scenario naming any other (statistic, oracle) pair is refused.  The
-envelope density is scored by sup-CDF distance against a CDF oracle.
+The envelope density is scored by sup-CDF distance against a CDF oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -57,16 +63,6 @@ from .params import (
     validate_scenario,
 )
 from .theory import CorrelationSeries, LagGrid
-
-# The oracles that can score each statistic.  Correlations and the envelope
-# density have closed forms for both channels; the only crossing-rate law is
-# the Rayleigh one, so TWDP crossing rates are checked seed against seed.
-_FORMULAS = ("reference_formula", "simulator_formula")
-STATISTIC_ORACLES = {
-    **dict.fromkeys((*theory.CORRELATION_KINDS, "pdf"), _FORMULAS),
-    "lcr": ("closed_form_oracle", "self_consistency"),
-}
-ORACLES = tuple(dict.fromkeys(o for pair in STATISTIC_ORACLES.values() for o in pair))
 
 ANCHOR_POLICY = (
     "ensemble average over trials and over anchor times every "
@@ -117,11 +113,8 @@ class ValidationScenario:
                     f"{stat} is scored by {' or '.join(STATISTIC_ORACLES[stat])}, "
                     f"not {self.oracle!r}"
                 )
-        if self.oracle == "closed_form_oracle" and not theory.is_rayleigh(self.scenario.params):
-            raise ValueError("closed_form_oracle is the Rayleigh law: it needs v1 == 0")
-        if "pdf" in self.statistics and self.oracle == "simulator_formula":
-            if self.scenario.n_sinusoids < 3:
-                raise ValueError("the finite-N envelope law needs n_sinusoids >= 3")
+            if refusal := _LAWS[stat, self.oracle].refuse(self.scenario):
+                raise ValueError(refusal)
 
 
 @dataclass(frozen=True)
@@ -286,7 +279,8 @@ def oracle_series(kind: str, scenario, grid: LagGrid, oracle: str) -> Correlatio
     families' closed forms by ``theory.KIND_FAMILIES``, the sum the
     estimators take of their spectra.  Only the families ``kind`` reads are
     evaluated, and only ss, the squared envelope, differs between the
-    reference and the simulator formula."""
+    reference and the simulator formula: it is the oracle's law in the law
+    table."""
     if kind not in theory.KIND_FAMILIES:
         raise ValueError(f"no oracle series for kind {kind!r}")
     p, rates, fd = scenario.params, scenario.rates, scenario.doppler_hz
@@ -297,11 +291,7 @@ def oracle_series(kind: str, scenario, grid: LagGrid, oracle: str) -> Correlatio
         "xy": lambda: theory.ref_ccf_quadrature(p, rates, grid).values,
         # Ryx = -Rxy, taken from 0 so that a zero is +0, as in ref_acf_complex.
         "yx": lambda: 0.0 - theory.ref_ccf_quadrature(p, rates, grid).values,
-        "ss": lambda: (
-            theory.sim_acf_squared(p, rates, fd, scenario.n_sinusoids, grid)
-            if oracle == "simulator_formula"
-            else theory.ref_acf_squared(p, rates, fd, grid)
-        ).values,
+        "ss": lambda: _LAWS["rsq", oracle].law(scenario, grid).values,
     }
     values = theory._signed_sum(kind, lambda ab: closed_forms[ab]())
     return CorrelationSeries(kind, grid, values)
@@ -313,18 +303,19 @@ def pdf_range(scenario) -> tuple[float, float]:
     return PDF_RANGE[0], max(PDF_RANGE[1], sos.envelope_bound(scenario))
 
 
-def _pdf_deviation(ensemble, oracle: str) -> Deviation:
+def _correlation_deviation(kind: str, oracle: str, ensemble, grid, means, *_) -> Deviation:
+    return _deviation(means[kind] - oracle_series(kind, ensemble.scenario, grid, oracle).values)
+
+
+def _pdf_deviation(oracle: str, ensemble, *_) -> Deviation:
+    """Sup-CDF distance of the ensemble's envelope from the oracle's CDF."""
     scn = ensemble.scenario
     hist = estimators.envelope_pdf(ensemble, bins=PDF_BINS, value_range=pdf_range(scn))
     edges = hist.bin_edges[1:]
-    if oracle == "simulator_formula":
-        oracle_cdf = theory.envelope_cdf_simulator(scn.params, scn.n_sinusoids, edges)
-    else:
-        oracle_cdf = theory.envelope_cdf_reference(scn.params, edges)
-    return _deviation(hist.cdf_at_edges()[1:] - oracle_cdf)
+    return _deviation(hist.cdf_at_edges()[1:] - _LAWS["pdf", oracle].law(scn, edges))
 
 
-def _lcr_oracle_deviation(ensemble) -> Deviation:
+def _lcr_oracle_deviation(ensemble, *_) -> Deviation:
     curve = estimators.level_crossing_rate(ensemble, LCR_ORACLE_THRESHOLDS)
     oracle = theory.rayleigh_lcr_oracle(LCR_ORACLE_THRESHOLDS)
     return _deviation((curve.rates - oracle) / oracle)
@@ -345,7 +336,7 @@ def _crossing_zscores(rates_a, rates_b) -> np.ndarray:
     return z
 
 
-def _lcr_consistency_deviation(ensemble, seed_b: int) -> Deviation:
+def _lcr_consistency_deviation(ensemble, _grid, _means, seed_b: int) -> Deviation:
     """Score the ensemble's LCR curve against a second one at ``seed_b``, in
     combined standard-error units."""
     ensemble_b = sos.LazyEnsemble(replace(ensemble.scenario, seed=seed_b))
@@ -354,6 +345,72 @@ def _lcr_consistency_deviation(ensemble, seed_b: int) -> Deviation:
         for ens in (ensemble, ensemble_b)
     ]
     return _deviation(_crossing_zscores(*rates))
+
+
+def _needs_rayleigh(scenario) -> str | None:
+    """The Rayleigh crossing-rate law's refusal: a channel with a tone."""
+    if not theory.is_rayleigh(scenario.params):
+        return "closed_form_oracle is the Rayleigh law: it needs v1 == 0"
+
+
+def _needs_three_sinusoids(scenario) -> str | None:
+    """Kluyver's envelope law's refusal: fewer than 3 sinusoids."""
+    if scenario.n_sinusoids < 3:
+        return "the finite-N envelope law needs n_sinusoids >= 3"
+
+
+def _ref_squared(scn, grid):
+    return theory.ref_acf_squared(scn.params, scn.rates, scn.doppler_hz, grid)
+
+
+def _sim_squared(scn, grid):
+    return theory.sim_acf_squared(scn.params, scn.rates, scn.doppler_hz, scn.n_sinusoids, grid)
+
+
+def _ref_cdf(scn, edges):
+    return theory.envelope_cdf_reference(scn.params, edges)
+
+
+def _sim_cdf(scn, edges):
+    return theory.envelope_cdf_simulator(scn.params, scn.n_sinusoids, edges)
+
+
+# One (statistic, oracle) pair's law.  ``score(ensemble, grid, means,
+# seed_b)`` is the Deviation of a scenario's ensemble, given its correlation
+# grid and trial means (None and {} for a scenario without correlations) and
+# the seed of its second ensemble.  ``refuse(scenario)`` is why the pair
+# cannot score a scenario, or None.  ``law`` is the oracle's own closed form
+# that the score reads: the squared-envelope ACF for a correlation (ss, the
+# one family in which the formula oracles differ), the envelope CDF for the
+# density.
+_Law = namedtuple("_Law", "score refuse law", defaults=(lambda scenario: None, None))
+
+
+def _formula_laws(oracle: str, squared_acf, envelope_cdf, *pdf_refusal) -> dict:
+    """A formula oracle's laws: every correlation kind, and the envelope
+    density, scored by sup-CDF distance and refused by ``pdf_refusal``, if
+    one is given."""
+    laws = {
+        (kind, oracle): _Law(partial(_correlation_deviation, kind, oracle), law=squared_acf)
+        for kind in theory.CORRELATION_KINDS
+    }
+    laws["pdf", oracle] = _Law(partial(_pdf_deviation, oracle), *pdf_refusal, law=envelope_cdf)
+    return laws
+
+
+# The law table.  Correlations and the envelope density have closed forms for
+# both channels; the only crossing-rate law is the Rayleigh one, so TWDP
+# crossing rates are checked seed against seed.  Each law reads theory's
+# closed forms when it is called, never before.
+_LAWS = {
+    **_formula_laws("reference_formula", _ref_squared, _ref_cdf),
+    **_formula_laws("simulator_formula", _sim_squared, _sim_cdf, _needs_three_sinusoids),
+    ("lcr", "closed_form_oracle"): _Law(_lcr_oracle_deviation, _needs_rayleigh),
+    ("lcr", "self_consistency"): _Law(_lcr_consistency_deviation),
+}
+# The oracles that can score each statistic, and every oracle, in table order.
+STATISTIC_ORACLES = {s: tuple(o for t, o in _LAWS if t == s) for s, _ in _LAWS}
+ORACLES = tuple(dict.fromkeys(o for _, o in _LAWS))
 
 
 def run_validation(
@@ -371,23 +428,10 @@ def run_validation(
         corr_stats = [s for s in vs.statistics if s in theory.CORRELATION_KINDS]
         ensemble = sos.LazyEnsemble(scn)
         grid = default_correlation_grid(scn) if corr_stats else None
-        means = {}
-        if corr_stats:
-            means = estimators.correlation_means(ensemble, corr_stats, grid)
+        means = estimators.correlation_means(ensemble, corr_stats, grid) if corr_stats else {}
+        seed_b = derive_seed(seed, vs.name + "/b")
         for stat in vs.statistics:
-            if stat == "pdf":
-                dev = _pdf_deviation(ensemble, vs.oracle)
-            elif stat == "lcr":
-                if vs.oracle == "self_consistency":
-                    dev = _lcr_consistency_deviation(
-                        ensemble, derive_seed(seed, vs.name + "/b")
-                    )
-                else:
-                    dev = _lcr_oracle_deviation(ensemble)
-            else:
-                empirical = CorrelationSeries(stat, grid, means[stat])
-                oracle = oracle_series(stat, scn, grid, vs.oracle)
-                dev = compare_series(empirical, oracle)
+            dev = _LAWS[stat, vs.oracle].score(ensemble, grid, means, seed_b)
             tol = vs.tolerances[stat]
             records.append(
                 ValidationRecord(

@@ -325,14 +325,18 @@ def generate_trace(
     # every stride computes the same head rows.  See the module docstring.
     n_rows = -(-n // BLOCK)
     span = math.isqrt(n_rows - 1) + 1
+    n_coarse = -(-n_rows // span)
+    # The head grid comes first, so that numpy refuses a trace too long to
+    # hold before any exponential is taken.
+    head = np.empty((n_coarse, span, n_sin + 2), complex)
     period = BLOCK * scenario.sample_period_s
-    t_coarse = np.arange(-(-n_rows // span)) * (span * period)
+    t_coarse = np.arange(n_coarse) * (span * period)
     t_fine = np.arange(span) * period
     t_tail = np.arange(BLOCK) * scenario.sample_period_s
     coarse = amps * np.exp(1j * (phases + np.multiply.outer(t_coarse, rates)))
     fine = np.exp(1j * np.multiply.outer(t_fine, rates))
     tail = np.exp(1j * np.multiply.outer(rates, t_tail))
-    head = (coarse[:, None, :] * fine).reshape(-1, n_sin + 2)
+    head = np.multiply(coarse[:, None, :], fine, out=head).reshape(-1, n_sin + 2)
     if stride == 1:
         head = head[:n_rows]
     else:

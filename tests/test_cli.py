@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from twdpsim.params import (
     validate_scenario,
 )
 from twdpsim.sos import envelope_bound
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParseConfig:
@@ -390,13 +396,24 @@ class TestCliDispatch:
         [["validate"], ["acf", "--kind", "rxx"], ["pdf"], ["lcr"], ["gen"]],
         ids=lambda command: command[0],
     )
-    def test_scenario_too_large_to_allocate_exits_2(self, command, tmp_path, capsys):
-        # numpy refuses arrays of this size before touching memory.
+    def test_scenario_too_large_to_allocate_exits_2(self, command, tmp_path):
+        # numpy refuses arrays of this size before touching memory, and the
+        # command takes nothing of a size that grows with the trace before
+        # that, so its peak RSS stays under the CLI ceiling (peak_rss.py
+        # exits 1 past it).  tracemalloc cannot bound this: numpy traces a
+        # refused allocation at its full size.
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("n_samples = 1000000000000000\nn_trials = 2\n")
         argv = command + ["--config", str(cfg), "--out", str(tmp_path / "out")]
-        assert cli_dispatch(argv) == 2
-        assert "error: Unable to allocate" in capsys.readouterr().err
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "peak_rss.py"), "--max-mb", "200", "--",
+             sys.executable, "-m", "twdpsim.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "error: Unable to allocate" in result.stderr
         assert not (tmp_path / "out").exists()
 
     def test_zero_doppler_exits_2(self, tmp_path, capsys):

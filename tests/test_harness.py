@@ -8,6 +8,7 @@ import pytest
 from twdpsim import estimators, harness, sos, theory
 from twdpsim.harness import (
     CORRELATION_STATS,
+    LCR_ORACLE_THRESHOLDS,
     LCR_THRESHOLDS,
     PDF_BINS,
     PDF_RANGE,
@@ -432,6 +433,35 @@ class TestRunValidation:
             (rec,) = run_validation([vs], seed=4).records
             assert rec.oracle == oracle
             assert rec.max_abs_dev == pytest.approx(np.abs(emp - oracle_cdf).max(), abs=1e-15)
+
+    def test_rayleigh_lcr_scored_against_the_closed_form_law(self):
+        # one ensemble's crossing rates at the oracle thresholds, scored by
+        # hand in relative deviation from the Rayleigh law
+        cfg = make_scenario(k=0.0, gamma=0.0, n_trials=20, n_samples=2001)
+        tol = {"lcr": Tolerance(1.0, 1.0)}
+        vs = ValidationScenario("ray", cfg, ("lcr",), tol, "closed_form_oracle")
+        (rec,) = run_validation([vs], seed=4).records
+        scn = validate_scenario(replace(cfg, seed=derive_seed(4, "ray")))
+        curve = estimators.level_crossing_rate(
+            sos.generate_ensemble(scn), LCR_ORACLE_THRESHOLDS
+        )
+        law = theory.rayleigh_lcr_oracle(LCR_ORACLE_THRESHOLDS)
+        dev = np.abs((curve.rates - law) / law)
+        assert (rec.oracle, rec.seed) == ("closed_form_oracle", scn.seed)
+        assert rec.max_abs_dev == float(dev.max())
+        assert rec.rms_dev == math.sqrt(np.mean(dev ** 2))
+
+    @pytest.mark.parametrize(
+        "stat, oracle",
+        [(stat, oracle) for stat, oracles in STATISTIC_ORACLES.items() for oracle in oracles],
+    )
+    def test_every_pair_scores_one_finite_record(self, stat, oracle):
+        # A Rayleigh channel at 8 sinusoids is admitted by every law.
+        cfg = make_scenario(n_trials=4, n_samples=1201)
+        vs = ValidationScenario("pair", cfg, (stat,), {stat: Tolerance(1.0, 1.0)}, oracle)
+        (rec,) = run_validation([vs], seed=2).records
+        assert (rec.statistic, rec.oracle) == (stat, oracle)
+        assert math.isfinite(rec.max_abs_dev) and math.isfinite(rec.rms_dev)
 
     def test_pdf_range_reaches_the_envelope_bound(self):
         # 64 sinusoids over 40000 samples reach envelopes past 3: the record

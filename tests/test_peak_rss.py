@@ -28,6 +28,12 @@ def test_peak_over_the_ceiling_exits_1():
     assert "over the 20 MB ceiling" in result.stderr
 
 
+def test_peak_over_the_ceiling_exits_1_when_the_command_fails_too():
+    result = run(20, "b = b'x' * (40 << 20); raise SystemExit(2)")
+    assert result.returncode == 1
+    assert "over the 20 MB ceiling" in result.stderr
+
+
 @pytest.mark.parametrize("status", [2, 3])
 def test_command_failure_passes_through(status):
     assert run(10_000, f"raise SystemExit({status})").returncode == status
