@@ -55,7 +55,6 @@ from .estimators import (
     LcrCurve,
     correlation_means,
     ensemble_correlation,
-    ensemble_mean,
     envelope_pdf,
     level_crossing_rate,
     per_trial_correlation,
@@ -67,7 +66,6 @@ from .harness import (
     ValidationReport,
     ValidationScenario,
     builtin_scenarios,
-    compare_series,
     run_validation,
 )
 from .fileio import read_trace, write_trace

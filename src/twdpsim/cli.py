@@ -182,6 +182,9 @@ def _cmd_acf(args) -> int:
 
 def _cmd_pdf(args) -> int:
     scn = _load_scenario(args)
+    # The oracle's refusal comes before any synthesis.
+    if refusal := harness._LAWS["pdf", "reference_formula"].refuse(scn):
+        raise ValueError(refusal)
     ens = sos.LazyEnsemble(scn)
     hist = estimators.envelope_pdf(ens, bins=args.bins, value_range=harness.pdf_range(scn))
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])

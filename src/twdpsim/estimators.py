@@ -68,7 +68,7 @@ import numpy as np
 
 from .sos import Ensemble
 from .theory import CORRELATION_KINDS, KIND_FAMILIES, CorrelationSeries, LagGrid
-from .theory import _RZZ_PARTS, _Deferred, _kind_parts, _signed_sum
+from .theory import _RZZ_PARTS, _checked_thresholds, _Deferred, _kind_parts, _signed_sum
 
 # Read at call time, so a test can replace it.
 sp_fft = _Deferred("scipy.fft")
@@ -325,12 +325,6 @@ def ensemble_correlation(
     return CorrelationSeries(kind, grid, values)
 
 
-def ensemble_mean(ens: Ensemble) -> complex:
-    """Mean of z over all trials and times (zero for valid scenarios)."""
-    total = sum(block.sum() for _, block in ens.blocks())
-    return complex(total / (_trial_count(ens) * ens.scenario.n_samples))
-
-
 def decorrelation_stride(scenario) -> int:
     """Sample stride putting consecutive envelope picks ~2 Doppler cycles apart."""
     return max(1, math.ceil(2.0 / (scenario.doppler_hz * scenario.sample_period_s)))
@@ -371,17 +365,6 @@ def envelope_pdf(
     widths = np.diff(edges)
     densities = counts / (picks.size * widths)
     return HistogramDensity(edges, densities, picks.size)
-
-
-def _checked_thresholds(thresholds) -> np.ndarray:
-    """``thresholds`` as a 1-D float array, once each is >= 0 and not NaN; a
-    scalar is one threshold."""
-    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    if thresholds.ndim != 1:
-        raise ValueError("thresholds must be a scalar or a 1-D sequence")
-    if not np.all(thresholds >= 0):  # NaN fails this too
-        raise ValueError("thresholds must be >= 0 and not NaN")
-    return thresholds
 
 
 def per_trial_crossing_rates(

@@ -30,12 +30,14 @@ formula oracles, the oracle's squared-envelope ACF and envelope CDF.
 ``STATISTIC_ORACLES`` and ``ORACLES`` are read off it, and a scenario naming
 any other pair is refused.  The oracles, and the statistics each one scores:
   reference_formula    correlations and the envelope density: closed forms of
-                       the ideal (Gaussian-diffuse) channel
+                       the ideal (Gaussian-diffuse) channel; the density
+                       needs diffuse power
   simulator_formula    correlations and the envelope density: closed forms of
                        the finite-N generator; for the density, Kluyver's
-                       random-phasor-sum CDF, so 3 sinusoids or more
+                       random-phasor-sum CDF, so 3 sinusoids or more and
+                       diffuse power
   closed_form_oracle   lcr: the Rayleigh crossing-rate law, so Rayleigh
-                       channels (``theory.is_rayleigh``) only
+                       channels (no tone, v1 == 0) only
   self_consistency     lcr: the scenario's ensemble against a second one at a
                        disjoint seed, deviations in combined standard errors
 
@@ -161,15 +163,6 @@ def _deviation(diff) -> Deviation:
     """Max-abs and RMS of the deviations ``diff``."""
     diff = np.abs(diff)
     return Deviation(float(diff.max()), float(math.sqrt(np.mean(diff ** 2))))
-
-
-def compare_series(a: CorrelationSeries, b: CorrelationSeries) -> Deviation:
-    """Max-abs and RMS deviation between two series on identical grids."""
-    if a.kind != b.kind:
-        raise ValueError(f"kind mismatch: {a.kind!r} vs {b.kind!r}")
-    if len(a.grid) != len(b.grid) or not np.array_equal(a.grid.lags_s, b.grid.lags_s):
-        raise ValueError("lag grids differ")
-    return _deviation(a.values - b.values)
 
 
 # Tolerances for the builtin suite, sized from the estimator standard errors
@@ -300,7 +293,7 @@ def oracle_series(kind: str, scenario, grid: LagGrid, oracle: str) -> Correlatio
 def pdf_range(scenario) -> tuple[float, float]:
     """PDF_RANGE with its upper edge raised to the envelope bound: long or
     many-sinusoid ensembles can pass 3, never the bound."""
-    return PDF_RANGE[0], max(PDF_RANGE[1], sos.envelope_bound(scenario))
+    return PDF_RANGE[0], max(PDF_RANGE[1], scenario.params.envelope_bound(scenario.n_sinusoids))
 
 
 def _correlation_deviation(kind: str, oracle: str, ensemble, grid, means, *_) -> Deviation:
@@ -349,14 +342,22 @@ def _lcr_consistency_deviation(ensemble, _grid, _means, seed_b: int) -> Deviatio
 
 def _needs_rayleigh(scenario) -> str | None:
     """The Rayleigh crossing-rate law's refusal: a channel with a tone."""
-    if not theory.is_rayleigh(scenario.params):
+    if scenario.params.v1 != 0:
         return "closed_form_oracle is the Rayleigh law: it needs v1 == 0"
 
 
+def _needs_diffuse(scenario) -> str | None:
+    """The envelope laws' refusal: a channel without diffuse power."""
+    if scenario.params.diffuse_power <= 0:
+        return theory._NO_DIFFUSE
+
+
 def _needs_three_sinusoids(scenario) -> str | None:
-    """Kluyver's envelope law's refusal: fewer than 3 sinusoids."""
+    """Kluyver's envelope law's refusal: fewer than 3 sinusoids, then the
+    refusal of every envelope law."""
     if scenario.n_sinusoids < 3:
         return "the finite-N envelope law needs n_sinusoids >= 3"
+    return _needs_diffuse(scenario)
 
 
 def _ref_squared(scn, grid):
@@ -386,15 +387,14 @@ def _sim_cdf(scn, edges):
 _Law = namedtuple("_Law", "score refuse law", defaults=(lambda scenario: None, None))
 
 
-def _formula_laws(oracle: str, squared_acf, envelope_cdf, *pdf_refusal) -> dict:
+def _formula_laws(oracle: str, squared_acf, envelope_cdf, pdf_refusal) -> dict:
     """A formula oracle's laws: every correlation kind, and the envelope
-    density, scored by sup-CDF distance and refused by ``pdf_refusal``, if
-    one is given."""
+    density, scored by sup-CDF distance and refused by ``pdf_refusal``."""
     laws = {
         (kind, oracle): _Law(partial(_correlation_deviation, kind, oracle), law=squared_acf)
         for kind in theory.CORRELATION_KINDS
     }
-    laws["pdf", oracle] = _Law(partial(_pdf_deviation, oracle), *pdf_refusal, law=envelope_cdf)
+    laws["pdf", oracle] = _Law(partial(_pdf_deviation, oracle), pdf_refusal, envelope_cdf)
     return laws
 
 
@@ -403,7 +403,7 @@ def _formula_laws(oracle: str, squared_acf, envelope_cdf, *pdf_refusal) -> dict:
 # crossing rates are checked seed against seed.  Each law reads theory's
 # closed forms when it is called, never before.
 _LAWS = {
-    **_formula_laws("reference_formula", _ref_squared, _ref_cdf),
+    **_formula_laws("reference_formula", _ref_squared, _ref_cdf, _needs_diffuse),
     **_formula_laws("simulator_formula", _sim_squared, _sim_cdf, _needs_three_sinusoids),
     ("lcr", "closed_form_oracle"): _Law(_lcr_oracle_deviation, _needs_rayleigh),
     ("lcr", "self_consistency"): _Law(_lcr_consistency_deviation),

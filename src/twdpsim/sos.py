@@ -9,8 +9,8 @@ lowpass process is
 
 with n(t) = sqrt(diffuse_power/N) * sum_i exp(j*(2*pi*f_D*t*cos(beta_i) + phase_i)).
 The normalization lives on ``ChannelParams``: synthesis reads z's amplitudes
-as ``tone_amplitudes`` and ``path_amplitude(N)``, and ``envelope_bound`` reads
-the bound on |z| there too.
+as ``tone_amplitudes`` and ``path_amplitude(N)``, and its ``envelope_bound(N)``
+is the bound on |z|.
 
 ``specular_tone`` and ``diffuse_sample`` evaluate these terms directly and are
 the reference definition.  ``generate_trace`` computes the same sum by block
@@ -378,8 +378,3 @@ def generate_ensemble(
     for row, idx in enumerate(trials):
         z[row] = generate_trace(scenario, idx, stride).samples
     return TraceEnsemble(z, scenario, trials.start, stride)
-
-
-def envelope_bound(scenario: ValidatedScenario) -> float:
-    """Exact triangle-inequality bound on |z| for this scenario."""
-    return scenario.params.envelope_bound(scenario.n_sinusoids)

@@ -37,7 +37,8 @@ the generator in ``sos`` reads too.
 
 Also provided: the isotropic-scattering Bessel kernel J0, and the closed-form
 Rayleigh level-crossing-rate oracle used to validate the crossing estimator
-with :func:`is_rayleigh`, the one test of where it applies.
+on channels without a tone (v1 == 0), with the one threshold rule the
+crossing estimators apply too (:func:`_checked_thresholds`).
 
 scipy.special is imported when a closed form first reads it (``_Deferred``),
 so a program that only synthesizes or reads traces loads numpy alone.
@@ -521,9 +522,12 @@ sim_ccf_quadrature = ref_ccf_quadrature
 sim_acf_complex = ref_acf_complex
 
 
+_NO_DIFFUSE = "envelope density requires diffuse_power > 0 (singular otherwise)"
+
+
 def _require_diffuse(p: ChannelParams) -> None:
     if p.diffuse_power <= 0:
-        raise ValueError("envelope density requires diffuse_power > 0 (singular otherwise)")
+        raise ValueError(_NO_DIFFUSE)
 
 
 def _reference_cut(p: ChannelParams) -> float:
@@ -779,18 +783,25 @@ def _kluyver_tail(r, tones, a, n, split, t, wt) -> np.ndarray:
     return out
 
 
-def is_rayleigh(p: ChannelParams) -> bool:
-    """True for a channel with no tone (v1 == 0, as v2 <= v1): the one
-    channel :func:`rayleigh_lcr_oracle` describes."""
-    return p.v1 == 0
+def _checked_thresholds(thresholds) -> np.ndarray:
+    """``thresholds`` as a 1-D float array, once each is >= 0 and not NaN; a
+    scalar is one threshold."""
+    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
+    if thresholds.ndim != 1:
+        raise ValueError("thresholds must be a scalar or a 1-D sequence")
+    if not np.all(thresholds >= 0):  # NaN fails this too
+        raise ValueError("thresholds must be >= 0 and not NaN")
+    return thresholds
 
 
 def rayleigh_lcr_oracle(rho):
     """Closed-form normalized Rayleigh level crossing rate.
 
     sqrt(2*pi) * rho * exp(-rho^2) upward crossings per second per unit f_D,
-    with the threshold rho normalized to the RMS envelope.
+    with the threshold rho normalized to the RMS envelope.  The thresholds
+    follow the crossing estimators' rule (:func:`_checked_thresholds`); a
+    scalar gives a float.
     """
-    rho_arr = np.asarray(rho, dtype=float)
+    rho_arr = _checked_thresholds(rho)
     out = math.sqrt(TWO_PI) * rho_arr * np.exp(-rho_arr ** 2)
-    return float(out) if np.ndim(rho) == 0 else out
+    return float(out[0]) if np.ndim(rho) == 0 else out

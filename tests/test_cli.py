@@ -23,7 +23,6 @@ from twdpsim.params import (
     make_scenario,
     validate_scenario,
 )
-from twdpsim.sos import envelope_bound
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -324,7 +323,8 @@ class TestCliDispatch:
         assert cli_dispatch(["pdf", "--config", str(cfg), "--out", str(out)]) == 0
         capsys.readouterr()
         _, rows = read_series_csv(out)
-        bound = envelope_bound(validate_scenario(parse_config(text)))
+        scn = validate_scenario(parse_config(text))
+        bound = scn.params.envelope_bound(scn.n_sinusoids)
         assert bound > harness.PDF_RANGE[1]
         assert rows[0, 0] == 0.0 and rows[-1, 1] == bound
         widths = rows[:, 1] - rows[:, 0]
@@ -369,6 +369,21 @@ class TestCliDispatch:
             cfg.write_text(text)
             assert cli_dispatch(["pdf", "--config", str(cfg)]) == 2
             assert "error: diffuse part too narrow" in capsys.readouterr().err
+
+    def test_pdf_without_diffuse_power_exits_2_before_synthesis(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def synthesize(*args, **kwargs):
+            raise AssertionError("the histogram was built before the refusal")
+
+        monkeypatch.setattr(cli.estimators, "envelope_pdf", synthesize)
+        cfg = tmp_path / "dfree.cfg"
+        cfg.write_text("v1 = 1\nv2 = 0.5\ndiffuse_power = 0\nn_trials = 2\nn_samples = 400\n")
+        assert cli_dispatch(["pdf", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "\nerror: envelope density requires diffuse_power > 0 (singular otherwise)\n"
+        )
 
     def test_pdf_at_tiny_fd_ts_picks_sample_0(self, tmp_path):
         # f_D*T_s = 1e-300 puts the decorrelation stride past the int64

@@ -16,7 +16,6 @@ from twdpsim.estimators import (
     correlation_means,
     default_anchors,
     ensemble_correlation,
-    ensemble_mean,
     envelope_pdf,
     envelope_picks,
     level_crossing_rate,
@@ -61,7 +60,6 @@ class TestEnsembleCorrelationSynthetic:
         ens = synthetic_ensemble(np.zeros((3, 200), dtype=complex), scn)
         series = ensemble_correlation(ens, "rzz_re", small_grid(scn))
         assert np.all(series.values == 0.0)
-        assert ensemble_mean(ens) == 0.0
 
     def test_off_grid_lag_rejected(self):
         scn = synth_scenario(2, 200)
@@ -463,7 +461,6 @@ class TestLazyEnsemble:
         for kind in ESTIMATOR_KINDS:
             assert np.array_equal(a[kind], b[kind]), kind
         assert np.array_equal(envelope_picks(lazy), envelope_picks(held))
-        assert ensemble_mean(lazy) == ensemble_mean(held)
         thresholds = np.array([0.5, 1.0, 1.5])
         a, b = level_crossing_rate(lazy, thresholds), level_crossing_rate(held, thresholds)
         assert np.array_equal(a.rates, b.rates)
@@ -492,7 +489,6 @@ def test_empty_ensemble(lazy):
     means = [
         lambda: correlation_means(ens, ESTIMATOR_KINDS, grid),
         lambda: ensemble_correlation(ens, "rxx", grid),
-        lambda: ensemble_mean(ens),
         lambda: envelope_pdf(ens),
         lambda: level_crossing_rate(ens, thresholds),
     ]
@@ -502,11 +498,6 @@ def test_empty_ensemble(lazy):
 
 
 class TestEnsembleMean:
-    def test_constant_one(self):
-        scn = synth_scenario(3, 50)
-        ens = synthetic_ensemble(np.ones((3, 50), dtype=complex), scn)
-        assert ensemble_mean(ens) == 1.0 + 0.0j
-
     def test_zero_within_clt_bound(self, corr_ensembles_m500):
         ens = corr_ensembles_m500[(10.0, 0.5)]
         trial_means = ens.sample_matrix.mean(axis=1)
@@ -514,7 +505,7 @@ class TestEnsembleMean:
         se = math.sqrt(
             trial_means.real.var(ddof=1) / m + trial_means.imag.var(ddof=1) / m
         )
-        assert abs(ensemble_mean(ens)) <= 3.0 * se
+        assert abs(ens.sample_matrix.mean()) <= 3.0 * se
 
 
 class TestEnvelopePdf:

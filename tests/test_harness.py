@@ -16,69 +16,14 @@ from twdpsim.harness import (
     Tolerance,
     ValidationScenario,
     builtin_scenarios,
-    compare_series,
     default_correlation_grid,
     derive_seed,
     pdf_range,
     run_validation,
 )
 from twdpsim.estimators import ensemble_correlation
-from twdpsim.params import make_scenario, validate_scenario
-from twdpsim.theory import (
-    LagGrid,
-    CorrelationSeries,
-    ref_acf_squared,
-    sim_acf_squared,
-)
-
-
-def tiny_grid():
-    return LagGrid.from_sample_lags(5, 1e-5, 1000.0)
-
-
-def series_of(values, kind="rxx", grid=None):
-    grid = grid or tiny_grid()
-    return CorrelationSeries(kind, grid, np.asarray(values, float))
-
-
-class TestCompareSeries:
-    def test_identical(self):
-        a = series_of([0.5, 0.4, 0.3, 0.2, 0.1])
-        dev = compare_series(a, a)
-        assert dev.max_abs == 0.0 and dev.rms == 0.0
-
-    def test_constant_offset(self):
-        a = series_of([0.0] * 5)
-        b = series_of([0.1] * 5)
-        dev = compare_series(a, b)
-        assert dev.max_abs == pytest.approx(0.1)
-        assert dev.rms == pytest.approx(0.1)
-
-    def test_symmetry(self):
-        a = series_of([0.0, 0.2, -0.1, 0.4, 0.0])
-        b = series_of([0.3, 0.0, 0.0, 0.0, -0.2])
-        d1, d2 = compare_series(a, b), compare_series(b, a)
-        assert d1 == d2
-
-    def test_grid_mismatch_rejected(self):
-        other = LagGrid.from_sample_lags(5, 2e-5, 1000.0)
-        with pytest.raises(ValueError, match="grid"):
-            compare_series(series_of([0] * 5), series_of([0] * 5, grid=other))
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            compare_series(series_of([0] * 5), series_of([0] * 5, kind="rxy"))
-
-    def test_finite_n_deficit_for_rayleigh(self):
-        # the two squared-envelope formulas differ by exactly the kernel term,
-        # peaking at 1/8 at zero lag for 8 sinusoids
-        scn = validate_scenario(make_scenario(k=0.0, gamma=0.0))
-        grid = default_correlation_grid(scn)
-        ref = ref_acf_squared(scn.params, scn.rates, scn.doppler_hz, grid)
-        sim = sim_acf_squared(scn.params, scn.rates, scn.doppler_hz, 8, grid)
-        dev = compare_series(ref, sim)
-        assert abs(dev.max_abs - 0.125) <= 1e-10
-        assert np.argmax(np.abs(ref.values - sim.values)) == 0
+from twdpsim.params import ChannelParams, make_scenario, validate_scenario
+from twdpsim.theory import ref_acf_squared, sim_acf_squared
 
 
 class TestBuiltinScenarios:
@@ -173,6 +118,25 @@ class TestBuiltinScenarios:
         with pytest.raises(ValueError, match="n_sinusoids"):
             ValidationScenario("x", cfg, ("pdf",), tol, "simulator_formula")
         ValidationScenario("x", cfg, ("pdf",), tol, "reference_formula")
+
+    @pytest.mark.parametrize("oracle", ["reference_formula", "simulator_formula"])
+    def test_density_needs_diffuse_power(self, oracle):
+        # Refused at construction with the density's own message, not
+        # mid-run; correlations still score such a channel.
+        cfg = make_scenario(
+            params=ChannelParams.from_components(1.0, 0.5, 0.0), n_trials=2, n_samples=400
+        )
+        tol = {"pdf": Tolerance(0.01, 0.01), "rxx": Tolerance(0.01, 0.01)}
+        message = "envelope density requires diffuse_power > 0 (singular otherwise)"
+        with pytest.raises(ValueError) as refused:
+            ValidationScenario("dfree", cfg, ("pdf",), tol, oracle)
+        assert str(refused.value) == message
+        ValidationScenario("dfree", cfg, ("rxx",), tol, oracle)
+        # Kluyver's law refuses too few sinusoids first.
+        first = {"reference_formula": "diffuse_power", "simulator_formula": "n_sinusoids"}
+        few = replace(cfg, n_sinusoids=2)
+        with pytest.raises(ValueError, match=first[oracle]):
+            ValidationScenario("dfree", few, ("pdf",), tol, oracle)
 
     def test_builtin_pdf_scenario_on_reference(self):
         pdf = next(vs for vs in builtin_scenarios() if "pdf" in vs.statistics)
@@ -411,7 +375,8 @@ class TestRunValidation:
         empirical = ensemble_correlation(ens, "rsq", corr_grid)
         sim = sim_acf_squared(scn.params, scn.rates, scn.doppler_hz, 8, corr_grid)
         ref = ref_acf_squared(scn.params, scn.rates, scn.doppler_hz, corr_grid)
-        assert compare_series(empirical, sim).rms < compare_series(empirical, ref).rms
+        rms = [math.sqrt(np.mean((empirical.values - law.values) ** 2)) for law in (sim, ref)]
+        assert rms[0] < rms[1]
 
     def test_pdf_scored_against_the_declared_oracle(self):
         # one ensemble scored by hand against each envelope CDF; at 8
@@ -467,9 +432,10 @@ class TestRunValidation:
         # 64 sinusoids over 40000 samples reach envelopes past 3: the record
         # is scored on a range up to the envelope bound, not raised
         cfg = make_scenario(n_sinusoids=64, n_trials=5, n_samples=40000, fd_ts=0.5)
-        bound = sos.envelope_bound(validate_scenario(cfg))
+        scn = validate_scenario(cfg)
+        bound = scn.params.envelope_bound(scn.n_sinusoids)
         assert bound > PDF_RANGE[1]
-        assert pdf_range(validate_scenario(cfg)) == (PDF_RANGE[0], bound)
+        assert pdf_range(scn) == (PDF_RANGE[0], bound)
         tol = {"pdf": Tolerance(1.0, 1.0)}
         vs = ValidationScenario("wide", cfg, ("pdf",), tol, "reference_formula")
         (rec,) = run_validation([vs], seed=0).records

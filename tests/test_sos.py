@@ -14,7 +14,6 @@ from twdpsim.sos import (
     TraceEnsemble,
     diffuse_sample,
     draw_trial_randoms,
-    envelope_bound,
     generate_ensemble,
     generate_trace,
     specular_tone,
@@ -423,7 +422,7 @@ class TestGenerateEnsemble:
             for omega in (1.0, 2.3):
                 scn = validate_scenario(make_scenario(omega=omega, **draw))
                 env = np.abs(generate_ensemble(scn).sample_matrix)
-                assert np.all(env <= envelope_bound(scn) + 1e-12)
+                assert np.all(env <= scn.params.envelope_bound(scn.n_sinusoids) + 1e-12)
 
     def test_power_deviation_shrinks_with_trials(self):
         # average |E|z|^2 - 1| over 10 seed groups at M=500 vs M=2000

@@ -9,7 +9,6 @@ from helpers import envelope_mc_draws, j0_first_zero, j0_series, mc_panel_kernel
 
 from twdpsim import theory
 from twdpsim.params import ChannelParams, from_k_gamma, make_scenario, validate_scenario
-from twdpsim.sos import envelope_bound
 from twdpsim.theory import (
     LagGrid,
     _chebyshev_degree,
@@ -467,6 +466,17 @@ class TestSquaredAcf:
         sim = sim_acf_squared(p, rates, FD, 8, grid)
         assert np.abs(ref.values - sim.values).max() <= (1.0 / 11.0) ** 2 / 8.0 + 1e-15
 
+    def test_finite_n_deficit_for_rayleigh(self):
+        # the two squared-envelope formulas differ by exactly the kernel term,
+        # peaking at 1/8 at zero lag for 8 sinusoids
+        scn = validate_scenario(make_scenario(k=0.0, gamma=0.0))
+        grid = LagGrid.from_sample_lags(1001, scn.sample_period_s, scn.doppler_hz)
+        ref = ref_acf_squared(scn.params, scn.rates, scn.doppler_hz, grid)
+        sim = sim_acf_squared(scn.params, scn.rates, scn.doppler_hz, 8, grid)
+        deficit = np.abs(ref.values - sim.values)
+        assert abs(deficit.max() - 0.125) <= 1e-10
+        assert np.argmax(deficit) == 0
+
     def test_large_n_scaling(self):
         p = from_k_gamma(0.0, 0.0)
         grid = grid_fd_tau(9, fd_ts=1.0)
@@ -767,7 +777,7 @@ class TestEnvelopeCdfSimulator:
     )
     def test_monotone_and_reaches_one_at_envelope_bound(self, k, gamma, n):
         scn = validate_scenario(make_scenario(k=k, gamma=gamma, n_sinusoids=n))
-        bound = envelope_bound(scn)
+        bound = scn.params.envelope_bound(n)
         edges = np.linspace(0.0, bound, 400)
         cdf = envelope_cdf_simulator(scn.params, n, edges)
         assert cdf[0] == 0.0
@@ -800,7 +810,7 @@ class TestEnvelopeCdfSimulator:
         # Edges at or past the bound take no quadrature: they neither pass the
         # head's node budget nor overflow the tail's ray cut.
         scn = validate_scenario(make_scenario(k=10.0, gamma=0.5, n_sinusoids=8))
-        top = envelope_bound(scn) if top == "bound" else top
+        top = scn.params.envelope_bound(8) if top == "bound" else top
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             cdf = envelope_cdf_simulator(scn.params, 8, [1.0, top])
@@ -892,6 +902,15 @@ class TestRayleighLcrOracle:
         vals = rayleigh_lcr_oracle(rho)
         assert vals.shape == rho.shape
         assert np.all(vals >= 0)
+
+    @pytest.mark.parametrize("rho", [-1.0, math.nan, [0.5, -0.1], [1.0, math.nan]])
+    def test_refuses_what_the_crossing_estimators_refuse(self, rho):
+        with pytest.raises(ValueError, match="thresholds must be >= 0 and not NaN"):
+            rayleigh_lcr_oracle(rho)
+
+    def test_scalar_gives_a_float(self):
+        assert type(rayleigh_lcr_oracle(0.5)) is float
+        assert type(rayleigh_lcr_oracle(np.float64(0.5))) is float
 
 
 class TestLagGrid:
