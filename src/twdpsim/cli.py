@@ -168,10 +168,8 @@ def _cmd_acf(args) -> int:
     grid = harness.default_correlation_grid(scn)
     parts = theory._kind_parts(args.kind)
     value_columns, oracle_columns = zip(*_CLI_COLUMNS[args.kind])
-    oracle = [
-        harness.oracle_series(part, scn, grid, "simulator_formula").values
-        for part in parts
-    ]
+    # The oracle columns come first, so their closed forms refuse before any synthesis.
+    oracle = [harness.oracle_series(part, scn, grid, "simulator_formula").values for part in parts]
     means = estimators.correlation_means(sos.LazyEnsemble(scn), parts, grid)
     columns = ["lag_s", "fd_tau", *value_columns, *oracle_columns]
     values = [means[part] for part in parts]
@@ -182,13 +180,11 @@ def _cmd_acf(args) -> int:
 
 def _cmd_pdf(args) -> int:
     scn = _load_scenario(args)
-    # The oracle's refusal comes before any synthesis.
-    if refusal := harness._LAWS["pdf", "reference_formula"].refuse(scn):
-        raise ValueError(refusal)
-    ens = sos.LazyEnsemble(scn)
-    hist = estimators.envelope_pdf(ens, bins=args.bins, value_range=harness.pdf_range(scn))
-    centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
-    oracle = theory.envelope_pdf_reference(scn.params, centers)
+    value_range = harness.pdf_range(scn)
+    # The oracle column comes first, so the law refuses before any synthesis.
+    edges = estimators._bin_edges(args.bins, value_range)
+    oracle = theory.envelope_pdf_reference(scn.params, 0.5 * (edges[:-1] + edges[1:]))
+    hist = estimators.envelope_pdf(sos.LazyEnsemble(scn), bins=args.bins, value_range=value_range)
     columns = ["bin_left", "bin_right", "density", "oracle_density"]
     rows = np.column_stack(
         [hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities, oracle]

@@ -341,6 +341,16 @@ def envelope_picks(ens: Ensemble) -> np.ndarray:
     return np.concatenate([np.empty(0), *picks])
 
 
+def _bin_edges(bins: int, value_range: tuple[float, float]) -> np.ndarray:
+    """The edges np.histogram takes for ``bins`` equal bins over
+    ``value_range``, so a closed form can be evaluated at them before the
+    histogram is taken.  Fewer than 2 bins are refused first, then a range
+    np.histogram refuses (not finite, or max below min)."""
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
+    return np.histogram_bin_edges(np.empty(0), bins, value_range)
+
+
 def envelope_pdf(
     ens: Ensemble,
     bins: int = 100,
@@ -351,8 +361,7 @@ def envelope_pdf(
     The range must cover every observed pick; silently dropping samples would
     break the unit-integral invariant.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+    edges = _bin_edges(bins, value_range)
     _trial_count(ens)
     picks = envelope_picks(ens)
     lo, hi = value_range
@@ -361,9 +370,8 @@ def envelope_pdf(
             f"range [{lo}, {hi}) does not cover observed envelopes "
             f"[{picks.min():g}, {picks.max():g}]"
         )
-    counts, edges = np.histogram(picks, bins=bins, range=value_range)
-    widths = np.diff(edges)
-    densities = counts / (picks.size * widths)
+    counts, _ = np.histogram(picks, bins=bins, range=value_range)
+    densities = counts / (picks.size * np.diff(edges))
     return HistogramDensity(edges, densities, picks.size)
 
 

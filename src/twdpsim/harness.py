@@ -28,7 +28,13 @@ One law table (``_LAWS``) holds every (statistic, oracle) pair the harness
 can score: how the pair is scored, which scenarios it refuses, and, for the
 formula oracles, the oracle's squared-envelope ACF and envelope CDF.
 ``STATISTIC_ORACLES`` and ``ORACLES`` are read off it, and a scenario naming
-any other pair is refused.  The oracles, and the statistics each one scores:
+any other pair is refused.  The envelope laws' refusals are theory's own
+(``theory._reference_refusal``, ``theory._kluyver_refusal``), asked when a
+scenario is built.  ``run_validation`` evaluates the closed forms of every
+scenario before it synthesizes any ensemble, so a refusal that depends on the
+evaluation points (a node budget, a diffuse part too narrow for the
+quadrature) comes before any trial is drawn.  The oracles, and the
+statistics each one scores:
   reference_formula    correlations and the envelope density: closed forms of
                        the ideal (Gaussian-diffuse) channel; the density
                        needs diffuse power
@@ -119,10 +125,7 @@ class ValidationScenario:
                 raise ValueError(refusal)
 
 
-@dataclass(frozen=True)
-class Deviation:
-    max_abs: float
-    rms: float
+Deviation = namedtuple("Deviation", "max_abs rms")
 
 
 @dataclass(frozen=True)
@@ -296,22 +299,34 @@ def pdf_range(scenario) -> tuple[float, float]:
     return PDF_RANGE[0], max(PDF_RANGE[1], scenario.params.envelope_bound(scenario.n_sinusoids))
 
 
-def _correlation_deviation(kind: str, oracle: str, ensemble, grid, means, *_) -> Deviation:
-    return _deviation(means[kind] - oracle_series(kind, ensemble.scenario, grid, oracle).values)
+def _correlation_score(kind: str, oracle: str, scenario, grid):
+    """The oracle's series of ``kind`` on ``grid``, and its scorer: the
+    distance of the ensemble's trial means from it."""
+    expected = oracle_series(kind, scenario, grid, oracle).values
+    return lambda ensemble, means, _seed_b: _deviation(means[kind] - expected)
 
 
-def _pdf_deviation(oracle: str, ensemble, *_) -> Deviation:
-    """Sup-CDF distance of the ensemble's envelope from the oracle's CDF."""
-    scn = ensemble.scenario
-    hist = estimators.envelope_pdf(ensemble, bins=PDF_BINS, value_range=pdf_range(scn))
-    edges = hist.bin_edges[1:]
-    return _deviation(hist.cdf_at_edges()[1:] - _LAWS["pdf", oracle].law(scn, edges))
+def _pdf_score(oracle: str, scenario, _grid):
+    """The oracle's envelope CDF at the histogram's bin edges past the first,
+    and its scorer: the sup-CDF distance of the ensemble's envelope from it."""
+    value_range = pdf_range(scenario)
+    edges = estimators._bin_edges(PDF_BINS, value_range)[1:]
+    expected = _LAWS["pdf", oracle].law(scenario, edges)
+
+    def score(ensemble, *_):
+        hist = estimators.envelope_pdf(ensemble, bins=PDF_BINS, value_range=value_range)
+        return _deviation(hist.cdf_at_edges()[1:] - expected)
+
+    return score
 
 
-def _lcr_oracle_deviation(ensemble, *_) -> Deviation:
-    curve = estimators.level_crossing_rate(ensemble, LCR_ORACLE_THRESHOLDS)
+def _lcr_oracle_score(*_):
+    """The Rayleigh crossing-rate law at LCR_ORACLE_THRESHOLDS, and its
+    scorer: the relative distance of the ensemble's rates from it."""
     oracle = theory.rayleigh_lcr_oracle(LCR_ORACLE_THRESHOLDS)
-    return _deviation((curve.rates - oracle) / oracle)
+    return lambda ensemble, *_: _deviation(
+        (estimators.level_crossing_rate(ensemble, LCR_ORACLE_THRESHOLDS).rates - oracle) / oracle
+    )
 
 
 def _crossing_zscores(rates_a, rates_b) -> np.ndarray:
@@ -329,14 +344,11 @@ def _crossing_zscores(rates_a, rates_b) -> np.ndarray:
     return z
 
 
-def _lcr_consistency_deviation(ensemble, _grid, _means, seed_b: int) -> Deviation:
+def _lcr_consistency_deviation(ensemble, _means, seed_b: int) -> Deviation:
     """Score the ensemble's LCR curve against a second one at ``seed_b``, in
     combined standard-error units."""
-    ensemble_b = sos.LazyEnsemble(replace(ensemble.scenario, seed=seed_b))
-    rates = [
-        estimators.per_trial_crossing_rates(ens, LCR_THRESHOLDS)
-        for ens in (ensemble, ensemble_b)
-    ]
+    second = sos.LazyEnsemble(replace(ensemble.scenario, seed=seed_b))
+    rates = [estimators.per_trial_crossing_rates(e, LCR_THRESHOLDS) for e in (ensemble, second)]
     return _deviation(_crossing_zscores(*rates))
 
 
@@ -344,20 +356,6 @@ def _needs_rayleigh(scenario) -> str | None:
     """The Rayleigh crossing-rate law's refusal: a channel with a tone."""
     if scenario.params.v1 != 0:
         return "closed_form_oracle is the Rayleigh law: it needs v1 == 0"
-
-
-def _needs_diffuse(scenario) -> str | None:
-    """The envelope laws' refusal: a channel without diffuse power."""
-    if scenario.params.diffuse_power <= 0:
-        return theory._NO_DIFFUSE
-
-
-def _needs_three_sinusoids(scenario) -> str | None:
-    """Kluyver's envelope law's refusal: fewer than 3 sinusoids, then the
-    refusal of every envelope law."""
-    if scenario.n_sinusoids < 3:
-        return "the finite-N envelope law needs n_sinusoids >= 3"
-    return _needs_diffuse(scenario)
 
 
 def _ref_squared(scn, grid):
@@ -376,14 +374,25 @@ def _sim_cdf(scn, edges):
     return theory.envelope_cdf_simulator(scn.params, scn.n_sinusoids, edges)
 
 
-# One (statistic, oracle) pair's law.  ``score(ensemble, grid, means,
-# seed_b)`` is the Deviation of a scenario's ensemble, given its correlation
-# grid and trial means (None and {} for a scenario without correlations) and
-# the seed of its second ensemble.  ``refuse(scenario)`` is why the pair
-# cannot score a scenario, or None.  ``law`` is the oracle's own closed form
-# that the score reads: the squared-envelope ACF for a correlation (ss, the
-# one family in which the formula oracles differ), the envelope CDF for the
-# density.
+def _ref_refusal(scn):
+    return theory._reference_refusal(scn.params)
+
+
+def _sim_refusal(scn):
+    return theory._kluyver_refusal(scn.params, scn.n_sinusoids)
+
+
+# One (statistic, oracle) pair's law.  ``score(scenario, grid)`` evaluates
+# the pair's closed forms for a scenario and its correlation grid (None for a
+# scenario without correlations), so they refuse what they refuse before any
+# trial is synthesized, and returns the scorer ``(ensemble, means, seed_b) ->
+# Deviation`` of the scenario's ensemble, given its correlation trial means
+# ({} without correlations) and the seed of its second ensemble.
+# ``refuse(scenario)`` is why the pair cannot score a scenario, or None; the
+# envelope laws ask theory's refusals.  ``law`` is the oracle's own closed
+# form that the score reads: the squared-envelope ACF for a correlation (ss,
+# the one family in which the formula oracles differ), the envelope CDF for
+# the density.
 _Law = namedtuple("_Law", "score refuse law", defaults=(lambda scenario: None, None))
 
 
@@ -391,22 +400,22 @@ def _formula_laws(oracle: str, squared_acf, envelope_cdf, pdf_refusal) -> dict:
     """A formula oracle's laws: every correlation kind, and the envelope
     density, scored by sup-CDF distance and refused by ``pdf_refusal``."""
     laws = {
-        (kind, oracle): _Law(partial(_correlation_deviation, kind, oracle), law=squared_acf)
+        (kind, oracle): _Law(partial(_correlation_score, kind, oracle), law=squared_acf)
         for kind in theory.CORRELATION_KINDS
     }
-    laws["pdf", oracle] = _Law(partial(_pdf_deviation, oracle), pdf_refusal, envelope_cdf)
+    laws["pdf", oracle] = _Law(partial(_pdf_score, oracle), pdf_refusal, envelope_cdf)
     return laws
 
 
 # The law table.  Correlations and the envelope density have closed forms for
 # both channels; the only crossing-rate law is the Rayleigh one, so TWDP
-# crossing rates are checked seed against seed.  Each law reads theory's
-# closed forms when it is called, never before.
+# crossing rates are checked seed against seed, with no closed form.  Each law
+# reads theory's closed forms when it is called, never before.
 _LAWS = {
-    **_formula_laws("reference_formula", _ref_squared, _ref_cdf, _needs_diffuse),
-    **_formula_laws("simulator_formula", _sim_squared, _sim_cdf, _needs_three_sinusoids),
-    ("lcr", "closed_form_oracle"): _Law(_lcr_oracle_deviation, _needs_rayleigh),
-    ("lcr", "self_consistency"): _Law(_lcr_consistency_deviation),
+    **_formula_laws("reference_formula", _ref_squared, _ref_cdf, _ref_refusal),
+    **_formula_laws("simulator_formula", _sim_squared, _sim_cdf, _sim_refusal),
+    ("lcr", "closed_form_oracle"): _Law(_lcr_oracle_score, _needs_rayleigh),
+    ("lcr", "self_consistency"): _Law(lambda *_: _lcr_consistency_deviation),
 }
 # The oracles that can score each statistic, and every oracle, in table order.
 STATISTIC_ORACLES = {s: tuple(o for t, o in _LAWS if t == s) for s, _ in _LAWS}
@@ -420,18 +429,23 @@ def run_validation(
 
     Deterministic given (scenarios, seed): each scenario draws its own seed
     from the master seed and its name, so reordering scenarios cannot change
-    any individual result.
+    any individual result.  The closed forms of every scenario are
+    evaluated first, so what they refuse is raised before any trial is drawn.
     """
-    records = []
+    runs = []
     for vs in scenarios:
         scn = resolve_scenario(vs, seed)
         corr_stats = [s for s in vs.statistics if s in theory.CORRELATION_KINDS]
-        ensemble = sos.LazyEnsemble(scn)
         grid = default_correlation_grid(scn) if corr_stats else None
+        scores = [_LAWS[stat, vs.oracle].score(scn, grid) for stat in vs.statistics]
+        runs.append((vs, scn, corr_stats, grid, scores))
+    records = []
+    for vs, scn, corr_stats, grid, scores in runs:
+        ensemble = sos.LazyEnsemble(scn)
         means = estimators.correlation_means(ensemble, corr_stats, grid) if corr_stats else {}
         seed_b = derive_seed(seed, vs.name + "/b")
-        for stat in vs.statistics:
-            dev = _LAWS[stat, vs.oracle].score(ensemble, grid, means, seed_b)
+        for stat, score in zip(vs.statistics, scores):
+            dev = score(ensemble, means, seed_b)
             tol = vs.tolerances[stat]
             records.append(
                 ValidationRecord(

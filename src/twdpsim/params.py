@@ -361,10 +361,11 @@ def make_scenario(
 
     Channel parameters come from (k, gamma, omega) unless ``params`` is given
     explicitly.  The sample period derives from the normalized product
-    ``fd_ts = f_D * T_s``, so ``doppler_hz`` must be positive.
+    ``fd_ts = f_D * T_s``, so ``doppler_hz`` must be positive and finite: an
+    infinite one would make the period NaN or 0.
     """
     _require_real(doppler_hz=doppler_hz, fd_ts=fd_ts)
-    if doppler_hz <= 0:
+    if not (math.isfinite(doppler_hz) and doppler_hz > 0):
         raise ParameterError(f"doppler_hz must be > 0, got {doppler_hz}")
     if params is None:
         params = from_k_gamma(k, gamma, omega)

@@ -27,7 +27,13 @@ The finite-N generator's envelope is a sum of N+2 independent random-phase
 phasors at any fixed time, so its exact CDF is Kluyver's (1905)
 random-phasor-sum integral; at K=0 it sits about 0.1153/N in sup-CDF from the
 Rayleigh law.  All three envelope oracles sum their Hankel integrals on one
-Gauss-Legendre rule, :func:`_gl_nodes_on`.
+Gauss-Legendre rule, :func:`_gl_nodes_on`.  Which channels each law refuses
+is written once, in a function that returns the refusal or None
+(:func:`_reference_refusal`, :func:`_kluyver_refusal`): the laws raise it,
+and the harness's law table asks it of a scenario.  The refusals that depend
+on the evaluation points (node budgets, a diffuse part too narrow) are the
+laws' own, so a caller that evaluates a law before it synthesizes an
+ensemble gets them before any trial is drawn.
 
 Every closed form reads the channel as z's normalized phasors, off
 ``ChannelParams``: the power fractions v_i^2/omega and diffuse_power/omega,
@@ -522,12 +528,20 @@ sim_ccf_quadrature = ref_ccf_quadrature
 sim_acf_complex = ref_acf_complex
 
 
-_NO_DIFFUSE = "envelope density requires diffuse_power > 0 (singular otherwise)"
-
-
-def _require_diffuse(p: ChannelParams) -> None:
+def _reference_refusal(p: ChannelParams) -> str | None:
+    """Why the reference envelope laws cannot take the channel ``p``, or
+    None: a channel without diffuse power has a singular density."""
     if p.diffuse_power <= 0:
-        raise ValueError(_NO_DIFFUSE)
+        return "envelope density requires diffuse_power > 0 (singular otherwise)"
+
+
+def _kluyver_refusal(p: ChannelParams, n_sinusoids: int) -> str | None:
+    """Why Kluyver's envelope law cannot take ``p`` at ``n_sinusoids``, or
+    None: fewer than 3 sinusoids, where its integral diverges without tones,
+    asked first, then the reference laws' refusal."""
+    if n_sinusoids < 3:
+        return f"finite-N envelope law requires n_sinusoids >= 3, got {n_sinusoids}"
+    return _reference_refusal(p)
 
 
 def _reference_cut(p: ChannelParams) -> float:
@@ -546,7 +560,8 @@ def _reference_cut(p: ChannelParams) -> float:
     st2 * eps underflows to 0 is refused as too narrow, as the node budget
     refuses one slightly wider.
     """
-    _require_diffuse(p)
+    if refusal := _reference_refusal(p):
+        raise ValueError(refusal)
     vt1, vt2 = p.tone_amplitudes
     b = vt1 + vt2
     st2 = p.power_fractions[2] / 2
@@ -678,9 +693,9 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
     factor 2.5 either way changes no value by more than 1e-13.
 
     Raises TypeError for a sinusoid count that is not an integer, and
-    ValueError, before either integral runs, for fewer than 3
-    sinusoids (the integral diverges at N <= 2 without tones), for a channel
-    without diffuse power, when the tail's 2^tones * (N+1) terms times its
+    ValueError, before either integral runs, for what
+    :func:`_kluyver_refusal` refuses (fewer than 3 sinusoids, then a channel
+    without diffuse power), when the tail's 2^tones * (N+1) terms times its
     ray nodes pass _GL_MAX_NODES (N near 9000 with two tones), and, as "too
     narrow", for a diffuse part whose head passes _GL_MAX_NODES or whose
     path amplitude a underflows to 0.  The head runs before the tail, so a
@@ -688,11 +703,8 @@ def envelope_cdf_simulator(p: ChannelParams, n_sinusoids: int, edges) -> np.ndar
     is then empty.
     """
     n_sinusoids = operator.index(n_sinusoids)
-    if n_sinusoids < 3:
-        raise ValueError(
-            f"finite-N envelope law requires n_sinusoids >= 3, got {n_sinusoids}"
-        )
-    _require_diffuse(p)
+    if refusal := _kluyver_refusal(p, n_sinusoids):
+        raise ValueError(refusal)
     edges = _cdf_edges(edges)
     if edges.size and edges[0] < 0:
         raise ValueError(f"envelope value must be >= 0, got {edges[0]}")

@@ -355,8 +355,10 @@ class TestCliDispatch:
         assert "error:" in capsys.readouterr().err
 
     def test_library_value_error_exits_2(self, rayleigh_cfg, capsys):
-        assert cli_dispatch(["pdf", "--bins", "1", "--config", str(rayleigh_cfg)]) == 2
-        assert "error: bins must be >= 2" in capsys.readouterr().err
+        # The bin count is refused before any edge is computed from it.
+        for bins in ("1", "-3"):
+            assert cli_dispatch(["pdf", "--bins", bins, "--config", str(rayleigh_cfg)]) == 2
+            assert f"error: bins must be >= 2, got {bins}\n" in capsys.readouterr().err
 
     def test_pdf_oracle_node_budget_exits_2(self, tmp_path, capsys):
         # K = 1e12 passes the node budget; a diffuse power of 5e-324
@@ -377,13 +379,23 @@ class TestCliDispatch:
             raise AssertionError("the histogram was built before the refusal")
 
         monkeypatch.setattr(cli.estimators, "envelope_pdf", synthesize)
-        cfg = tmp_path / "dfree.cfg"
-        cfg.write_text("v1 = 1\nv2 = 0.5\ndiffuse_power = 0\nn_trials = 2\nn_samples = 400\n")
-        assert cli_dispatch(["pdf", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.endswith(
-            "\nerror: envelope density requires diffuse_power > 0 (singular otherwise)\n"
-        )
+        # No diffuse power is refused by the law's scenario-level refusal; a
+        # diffuse part too narrow for the quadrature at the bin centres (K =
+        # 1e12) by the oracle column, which is computed before the histogram.
+        for text, message in (
+            (
+                "v1 = 1\nv2 = 0.5\ndiffuse_power = 0\nn_trials = 2\nn_samples = 400\n",
+                "envelope density requires diffuse_power > 0 (singular otherwise)",
+            ),
+            (
+                "k = 1e12\ngamma = 0.5\nn_trials = 2\nn_samples = 101\n",
+                "diffuse part too narrow for the envelope quadrature",
+            ),
+        ):
+            cfg = tmp_path / "refused.cfg"
+            cfg.write_text(text)
+            assert cli_dispatch(["pdf", "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err.endswith(f"\nerror: {message}\n")
 
     def test_pdf_at_tiny_fd_ts_picks_sample_0(self, tmp_path):
         # f_D*T_s = 1e-300 puts the decorrelation stride past the int64

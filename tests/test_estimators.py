@@ -568,6 +568,20 @@ class TestEnvelopePdf:
         with pytest.raises(ValueError):
             envelope_pdf(ens, bins=1)
 
+    @given(
+        bins=st.integers(2, 5000),
+        lo=st.floats(0.0, 10.0),
+        width=st.floats(1e-6, 1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bin_edges_are_numpys(self, bins, lo, width):
+        # Closed forms are evaluated at these edges before the histogram is
+        # taken, so they must be the histogram's edges bit for bit.
+        value_range = (lo, lo + width)
+        picks = np.random.default_rng(bins).uniform(lo, lo + width, 50)
+        _, want = np.histogram(picks, bins=bins, range=value_range)
+        assert np.array_equal(estimators._bin_edges(bins, value_range), want)
+
 
 class TestLevelCrossingRate:
     def test_deterministic_ramp(self):

@@ -113,10 +113,16 @@ class TestBuiltinScenarios:
                 assert vs.oracle in STATISTIC_ORACLES[stat]
 
     def test_finite_n_pdf_needs_three_sinusoids(self):
+        # The scenario is refused with the law's own words.
         cfg = make_scenario(n_sinusoids=2)
         tol = {"pdf": Tolerance(0.01, 0.01)}
-        with pytest.raises(ValueError, match="n_sinusoids"):
+        message = "finite-N envelope law requires n_sinusoids >= 3, got 2"
+        with pytest.raises(ValueError) as refused:
             ValidationScenario("x", cfg, ("pdf",), tol, "simulator_formula")
+        assert str(refused.value) == message
+        with pytest.raises(ValueError) as refused:
+            theory.envelope_cdf_simulator(cfg.params, 2, [1.0])
+        assert str(refused.value) == message
         ValidationScenario("x", cfg, ("pdf",), tol, "reference_formula")
 
     @pytest.mark.parametrize("oracle", ["reference_formula", "simulator_formula"])
@@ -415,6 +421,46 @@ class TestRunValidation:
         assert (rec.oracle, rec.seed) == ("closed_form_oracle", scn.seed)
         assert rec.max_abs_dev == float(dev.max())
         assert rec.rms_dev == math.sqrt(np.mean(dev ** 2))
+
+    @staticmethod
+    def _forbid_synthesis(monkeypatch):
+        def synthesize(*args, **kwargs):
+            raise AssertionError("a trial was synthesized before the law refused")
+
+        monkeypatch.setattr(sos, "generate_ensemble", synthesize)
+
+    @pytest.mark.parametrize("oracle", ["reference_formula", "simulator_formula"])
+    def test_narrow_envelope_law_refuses_before_synthesis(self, oracle, monkeypatch):
+        # K = 1e12 has diffuse power, so the scenario is built; the envelope
+        # quadrature at the pdf check's edges needs more than its node budget.
+        cfg = make_scenario(k=1e12, gamma=0.5, n_trials=2, n_samples=101)
+        vs = ValidationScenario("narrow", cfg, ("pdf",), {"pdf": Tolerance(0.01, 0.01)}, oracle)
+        self._forbid_synthesis(monkeypatch)
+        with pytest.raises(ValueError) as refused:
+            run_validation([vs], seed=0)
+        assert str(refused.value) == "diffuse part too narrow for the envelope quadrature"
+
+    def test_kernel_node_budget_refuses_before_synthesis(self, monkeypatch):
+        # The finite-N rsq kernel at 2e6 sinusoids needs more nodes than its
+        # budget; the ensemble would need a (2000002, 64) complex head per trial.
+        cfg = make_scenario(n_sinusoids=2000000, n_trials=2, n_samples=101)
+        vs = harness.correlation_scenario("configured", cfg)
+        self._forbid_synthesis(monkeypatch)
+        with pytest.raises(ValueError, match=r"n = 2000000 exceeds the node budget$"):
+            run_validation([vs], seed=0)
+
+    def test_every_scenario_is_refused_before_any_synthesis(self, monkeypatch):
+        # A later scenario's law refuses before an earlier one is synthesized.
+        tol = {"rxx": Tolerance(1.0, 1.0), "pdf": Tolerance(1.0, 1.0)}
+        small = make_scenario(n_trials=2, n_samples=101)
+        narrow = make_scenario(k=1e12, gamma=0.5, n_trials=2, n_samples=101)
+        scenarios = [
+            ValidationScenario("small", small, ("rxx",), tol, "simulator_formula"),
+            ValidationScenario("narrow", narrow, ("pdf",), tol, "reference_formula"),
+        ]
+        self._forbid_synthesis(monkeypatch)
+        with pytest.raises(ValueError, match="diffuse part too narrow"):
+            run_validation(scenarios, seed=0)
 
     @pytest.mark.parametrize(
         "stat, oracle",

@@ -217,7 +217,7 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenarioError):
             validate_scenario(cfg)
 
-    @pytest.mark.parametrize("doppler_hz", [0.0, -5.0])
+    @pytest.mark.parametrize("doppler_hz", [0.0, -5.0, math.inf, math.nan])
     def test_make_scenario_requires_positive_doppler(self, doppler_hz):
         message = f"^doppler_hz must be > 0, got {doppler_hz}$"
         with pytest.raises(ParameterError, match=message):
